@@ -9,16 +9,17 @@ style.  Address changes are *detected* from these logs by
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 from repro.atlas.types import ConnectionLogEntry
 from repro.errors import DatasetError, ParseError
-from repro.net.ipv4 import IPv4Address
+from repro.net.ipv4 import IPv4Address, address_parser
 from repro.util import timeutil
 from repro.util.ingest import (
     IngestReport,
     ReadPolicy,
     format_line_error,
+    record_lines,
 )
 
 #: Dataset label used in ingest accounting and diagnostics.
@@ -78,7 +79,8 @@ class ConnectionLog:
                          % (entry.probe_id, entry.start, entry.end, address))
 
     @staticmethod
-    def _parse_line(text: str) -> ConnectionLogEntry:
+    def _parse_line(text: str, parse_address: Callable[[str], IPv4Address]
+                    ) -> ConnectionLogEntry:
         """Parse one record line; raises :class:`ParseError` sans location."""
         fields = text.split("\t")
         if len(fields) != 4:
@@ -94,7 +96,7 @@ class ConnectionLog:
             return ConnectionLogEntry(probe_id, start, end, None,
                                       ipv6_address=address_text)
         return ConnectionLogEntry(
-            probe_id, start, end, IPv4Address.parse(address_text))
+            probe_id, start, end, parse_address(address_text))
 
     @classmethod
     def read(cls, stream: TextIO,
@@ -107,16 +109,22 @@ class ConnectionLog:
         ``REPAIR`` quarantines malformed lines, re-sorts out-of-order
         entries per probe and quarantines overlapping duplicates,
         accounting every decision in ``report``.
+
+        Every line is parsed before any entry is placed, so under
+        ``STRICT`` a malformed line anywhere in the file wins over an
+        overlap on an earlier line.
         """
         source = source or getattr(stream, "name", "<connlog>")
         report = report if report is not None else IngestReport()
-        rows: list[tuple[int, ConnectionLogEntry]] = []
-        for line_number, line in enumerate(stream, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
+        parse_address = address_parser()
+        # Line numbers and entries as two lists, not (line, record)
+        # tuples: tens of thousands fewer GC-tracked objects per file,
+        # which spares the load a gen-2 collection.
+        numbers: list[int] = []
+        entries: list[ConnectionLogEntry] = []
+        for line_number, text in record_lines(stream):
             try:
-                rows.append((line_number, cls._parse_line(text)))
+                entry = cls._parse_line(text, parse_address)
             except ParseError as error:
                 if policy is ReadPolicy.STRICT:
                     raise ParseError(
@@ -124,18 +132,22 @@ class ConnectionLog:
                     ) from None
                 report.quarantined(DATASET_NAME, source, line_number,
                                    str(error))
+                continue
+            numbers.append(line_number)
+            entries.append(entry)
         if policy is ReadPolicy.STRICT:
             log = cls()
-            for line_number, entry in rows:
+            for line_number, entry in zip(numbers, entries):
                 try:
                     log.add(entry)
                 except DatasetError as error:
                     raise DatasetError(
                         format_line_error(source, line_number, error)
                     ) from None
-                report.parsed(DATASET_NAME)
+            report.parsed(DATASET_NAME, len(entries))
             return log
-        return cls._assemble_repaired(rows, report, source)
+        return cls._assemble_repaired(list(zip(numbers, entries)), report,
+                                      source)
 
     @classmethod
     def _assemble_repaired(cls, rows: list[tuple[int, ConnectionLogEntry]],
@@ -147,6 +159,7 @@ class ConnectionLog:
             by_probe.setdefault(entry.probe_id, []).append((line_number,
                                                             entry))
         log = cls()
+        parsed = 0
         for probe_id in sorted(by_probe):
             items = by_probe[probe_id]
             ordered = sorted(items, key=lambda item: (item[1].start,
@@ -170,7 +183,8 @@ class ConnectionLog:
                         DATASET_NAME, source, line_number,
                         "probe %d: out-of-order entry re-sorted" % probe_id)
                 else:
-                    report.parsed(DATASET_NAME)
+                    parsed += 1
+        report.parsed(DATASET_NAME, parsed)
         return log
 
     # -- presentation ------------------------------------------------------

@@ -16,6 +16,7 @@ from repro.util.ingest import (
     IngestReport,
     ReadPolicy,
     format_line_error,
+    record_lines,
 )
 
 #: Dataset label used in ingest accounting and diagnostics.
@@ -93,14 +94,20 @@ class UptimeDataset:
         out-of-order records; ``REPAIR`` quarantines garbage, unwraps
         counters modulo 2**32 and re-sorts per-probe timestamps,
         accounting every decision in ``report``.
+
+        Every line is parsed (and its counter checked) before any record
+        is placed, so under ``STRICT`` a malformed line or wrapped
+        counter anywhere in the file wins over an earlier out-of-order
+        record.
         """
         source = source or getattr(stream, "name", "<uptime>")
         report = report if report is not None else IngestReport()
-        rows: list[tuple[int, UptimeRecord]] = []
-        for line_number, line in enumerate(stream, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
+        # Line numbers and records as two lists, not (line, record)
+        # tuples: tens of thousands fewer GC-tracked objects per file,
+        # which spares the load a gen-2 collection.
+        numbers: list[int] = []
+        records: list[UptimeRecord] = []
+        for line_number, text in record_lines(stream):
             try:
                 record = cls._parse_line(text)
             except ParseError as error:
@@ -121,21 +128,24 @@ class UptimeDataset:
                                       record.uptime % UPTIME_WRAP_MODULUS)
                 report.repaired(DATASET_NAME, source, line_number,
                                 "wrapped uptime counter reduced modulo 2**32")
-                rows.append((-line_number, record))
+                numbers.append(-line_number)
+                records.append(record)
                 continue
-            rows.append((line_number, record))
+            numbers.append(line_number)
+            records.append(record)
         if policy is ReadPolicy.STRICT:
             dataset = cls()
-            for line_number, record in rows:
+            for line_number, record in zip(numbers, records):
                 try:
                     dataset.add(record)
                 except DatasetError as error:
                     raise DatasetError(
                         format_line_error(source, line_number, error)
                     ) from None
-                report.parsed(DATASET_NAME)
+            report.parsed(DATASET_NAME, len(records))
             return dataset
-        return cls._assemble_repaired(rows, report, source)
+        return cls._assemble_repaired(list(zip(numbers, records)), report,
+                                      source)
 
     @classmethod
     def _assemble_repaired(cls, rows: list[tuple[int, UptimeRecord]],
@@ -151,6 +161,7 @@ class UptimeDataset:
             by_probe.setdefault(record.probe_id, []).append((line_number,
                                                              record))
         dataset = cls()
+        parsed = 0
         for probe_id in sorted(by_probe):
             items = by_probe[probe_id]
             ordered = sorted(items, key=lambda item: item[1].timestamp)
@@ -165,5 +176,6 @@ class UptimeDataset:
                         DATASET_NAME, source, line_number,
                         "probe %d: out-of-order record re-sorted" % probe_id)
                 else:
-                    report.parsed(DATASET_NAME)
+                    parsed += 1
+        report.parsed(DATASET_NAME, parsed)
         return dataset

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.core.changes import AddressChange, AddressSpan
 from repro.net.ipv4 import IPv4Prefix
-from repro.net.pfx2as import IpToAsDataset
+from repro.net.pfx2as import UNROUTED, IpToAsDataset, prefix_of_id
 from repro.util.stats import fraction
 from repro.util.timeutil import DAY
 
@@ -127,27 +127,37 @@ def detect_administrative_renumbering(
         probes_by_asn[asn].add(probe_id)
         by_asn[asn].extend(changes)
 
+    qualifying = [asn for asn in by_asn
+                  if len(probes_by_asn[asn]) >= min_probes]
+    for asn in qualifying:
+        by_asn[asn].sort(key=lambda change: change.time)
+    # Both addresses of every change, in one batched lookup (prefix ids,
+    # UNROUTED for unrouted space).
+    values: list[int] = []
+    times: list[float] = []
+    for asn in qualifying:
+        for change in by_asn[asn]:
+            values += (change.new_address.value, change.old_address.value)
+            times += (change.time, change.time)
+    ids = iter(ip2as.prefix_ids(values, times))
+
     events: list[AdministrativeRenumbering] = []
-    for asn, changes in by_asn.items():
-        if len(probes_by_asn[asn]) < min_probes:
-            continue
-        changes.sort(key=lambda change: change.time)
-        seen_prefixes: set[IPv4Prefix] = set()
-        by_day: dict[int, list[tuple[int, IPv4Prefix | None,
-                                     IPv4Prefix | None]]] = defaultdict(list)
-        for change in changes:
+    for asn in qualifying:
+        seen_prefixes: set[int] = set()
+        by_day: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
+        for change in by_asn[asn]:
             day = int((change.time - start) // DAY)
-            new_prefix = ip2as.bgp_prefix(change.new_address, change.time)
-            old_prefix = ip2as.bgp_prefix(change.old_address, change.time)
+            new_prefix = next(ids)
+            old_prefix = next(ids)
             by_day[day].append((change.probe_id, new_prefix, old_prefix))
         for day in sorted(by_day):
             entries = by_day[day]
             day_probes = {probe_id for probe_id, _, _ in entries}
-            day_prefixes = [p for _, p, _ in entries if p is not None]
+            day_prefixes = [p for _, p, _ in entries if p != UNROUTED]
             # Old addresses were in use before today; their prefixes are
             # prior knowledge even on an AS's first observed change day.
             seen_prefixes.update(
-                p for _, _, p in entries if p is not None)
+                p for _, _, p in entries if p != UNROUTED)
             novel = [p for p in day_prefixes if p not in seen_prefixes]
             changed_share = fraction(len(day_probes),
                                      len(probes_by_asn[asn]))
@@ -163,7 +173,8 @@ def detect_administrative_renumbering(
                     asn=asn, day_index=day,
                     probes_changed=len(day_probes),
                     probes_total=len(probes_by_asn[asn]),
-                    novel_prefixes=tuple(sorted(set(novel))),
+                    novel_prefixes=tuple(
+                        prefix_of_id(p) for p in sorted(set(novel))),
                 ))
             seen_prefixes.update(day_prefixes)
     events.sort(key=lambda event: (event.day_index, event.asn))

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.core.changes import AddressChange
-from repro.net.pfx2as import IpToAsDataset
+from repro.net.pfx2as import UNROUTED, IpToAsDataset
 from repro.util.stats import fraction
 
 
@@ -28,22 +28,36 @@ class PrefixComparison:
     diff_slash8: bool
 
 
+def _diff_flags(changes: Sequence[AddressChange], ip2as: IpToAsDataset
+                ) -> Iterator[tuple[bool | None, bool, bool]]:
+    """``(diff_bgp, diff_slash16, diff_slash8)`` for each change, in order.
+
+    Both addresses of every change go through one batched prefix lookup
+    in the month of the change; the /16 and /8 tests are bit tests on
+    ``old ^ new``.  ``diff_bgp`` is None when either address is unrouted.
+    """
+    values: list[int] = []
+    times: list[float] = []
+    for change in changes:
+        values += (change.old_address.value, change.new_address.value)
+        times += (change.time, change.time)
+    ids = ip2as.prefix_ids(values, times)
+    for index, change in enumerate(changes):
+        old_id = ids[2 * index]
+        new_id = ids[2 * index + 1]
+        crossed = change.old_address.value ^ change.new_address.value
+        yield (None if old_id == UNROUTED or new_id == UNROUTED
+               else old_id != new_id,
+               crossed >> 16 != 0, crossed >> 24 != 0)
+
+
 def compare_change(change: AddressChange,
                    ip2as: IpToAsDataset) -> PrefixComparison:
     """Classify one change at BGP / /16 / /8 granularity."""
-    old_prefix = ip2as.bgp_prefix(change.old_address, change.time)
-    new_prefix = ip2as.bgp_prefix(change.new_address, change.time)
-    diff_bgp: bool | None
-    if old_prefix is None or new_prefix is None:
-        diff_bgp = None
-    else:
-        diff_bgp = old_prefix != new_prefix
-    return PrefixComparison(
-        change=change,
-        diff_bgp=diff_bgp,
-        diff_slash16=change.old_address.slash16() != change.new_address.slash16(),
-        diff_slash8=change.old_address.slash8() != change.new_address.slash8(),
-    )
+    diff_bgp, diff_slash16, diff_slash8 = next(_diff_flags([change], ip2as))
+    return PrefixComparison(change=change, diff_bgp=diff_bgp,
+                            diff_slash16=diff_slash16,
+                            diff_slash8=diff_slash8)
 
 
 @dataclass(frozen=True)
@@ -75,13 +89,14 @@ class PrefixChangeRow:
 
 
 def _tally(name: str, asn: int | None, country: str,
-           comparisons: Sequence[PrefixComparison]) -> PrefixChangeRow:
+           flags: Sequence[tuple[bool | None, bool, bool]]
+           ) -> PrefixChangeRow:
     return PrefixChangeRow(
         as_name=name, asn=asn, country=country,
-        total_changes=len(comparisons),
-        diff_bgp=sum(1 for c in comparisons if c.diff_bgp),
-        diff_slash16=sum(1 for c in comparisons if c.diff_slash16),
-        diff_slash8=sum(1 for c in comparisons if c.diff_slash8),
+        total_changes=len(flags),
+        diff_bgp=sum(1 for diff_bgp, _, _ in flags if diff_bgp),
+        diff_slash16=sum(1 for _, diff_slash16, _ in flags if diff_slash16),
+        diff_slash8=sum(1 for _, _, diff_slash8 in flags if diff_slash8),
     )
 
 
@@ -98,22 +113,26 @@ def prefix_change_table(changes_by_probe: Mapping[int, Iterable[AddressChange]],
     (the paper lists the ten ASes with the most changed probes); ``top``
     truncates the list.
     """
-    all_comparisons: list[PrefixComparison] = []
-    by_asn: dict[int, list[PrefixComparison]] = defaultdict(list)
+    changes: list[AddressChange] = []
+    change_asns: list[int] = []
     probes_by_asn: dict[int, set[int]] = defaultdict(set)
-    for probe_id, changes in changes_by_probe.items():
+    for probe_id, probe_changes in changes_by_probe.items():
         asn = asn_by_probe[probe_id]
-        for change in changes:
-            comparison = compare_change(change, ip2as)
-            all_comparisons.append(comparison)
-            by_asn[asn].append(comparison)
+        for change in probe_changes:
+            changes.append(change)
+            change_asns.append(asn)
             probes_by_asn[asn].add(probe_id)
+    all_flags = list(_diff_flags(changes, ip2as))
+    by_asn: dict[int, list[tuple[bool | None, bool, bool]]] = defaultdict(
+        list)
+    for asn, flags in zip(change_asns, all_flags):
+        by_asn[asn].append(flags)
 
-    overall = _tally("All", None, "", all_comparisons)
+    overall = _tally("All", None, "", all_flags)
     rows = [
         _tally(as_names.get(asn, "AS%d" % asn), asn,
-               (as_countries or {}).get(asn, ""), comparisons)
-        for asn, comparisons in by_asn.items()
+               (as_countries or {}).get(asn, ""), flags)
+        for asn, flags in by_asn.items()
     ]
     rows.sort(key=lambda row: -len(probes_by_asn[row.asn]))
     if top is not None:

@@ -175,8 +175,9 @@ class LeaseServer:
                                         max_bytes=config.max_cache_bytes)
         self.bytes_sent = 0
         self.bytes_received = 0
-        threading.Thread(target=self._accept_loop, daemon=True,
-                         name="repro-dist-accept").start()
+        self._accept_thread = threading.Thread(
+            target=self._accept_loop, daemon=True, name="repro-dist-accept")
+        self._accept_thread.start()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -191,16 +192,29 @@ class LeaseServer:
             self._finished = True
 
     def close(self) -> None:
-        """Stop accepting and drop every live connection."""
+        """Stop accepting, drop every live connection, reap the acceptor.
+
+        Closing a listening socket does not wake a thread blocked in
+        ``accept()`` on Linux; shutting it down first does.  The accept
+        thread is joined so nothing it references (this server, its
+        runner, the bundle) outlives the run.
+        """
         with self._lock:
             self._closed = True
             channels = list(self._channels)
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # never connected/listening, or already shut down
         try:
             self._listener.close()
         except OSError:
             pass
         for channel in channels:
             channel.close()
+        # Bounded: where shutdown() cannot wake accept(), a leaked
+        # acceptor is still better than a hung close().
+        self._accept_thread.join(timeutil.DIST_DRAIN_GRACE_S)
 
     def worker_summary(self) -> dict[str, dict[str, int]]:
         """Per-worker lease/byte accounting (for reports and tests)."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import total_ordering
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.errors import ParseError
 
@@ -182,6 +182,25 @@ class IPv4Prefix:
         step = 1 << (32 - length)
         for network in range(self.network, self.network + self.size, step):
             yield IPv4Prefix(network, length)
+
+
+def address_parser() -> Callable[[str], IPv4Address]:
+    """A memoizing :meth:`IPv4Address.parse` for one batch of records.
+
+    Dataset files repeat the same address text on many lines; addresses
+    are frozen values, so every line naming one text can share a single
+    parsed instance.  Only successful parses are remembered: malformed
+    text raises :class:`ParseError` on every call, exactly as ``parse``.
+    """
+    parsed: dict[str, IPv4Address] = {}
+
+    def parse(text: str) -> IPv4Address:
+        address = parsed.get(text)
+        if address is None:
+            address = parsed[text] = IPv4Address.parse(text)
+        return address
+
+    return parse
 
 
 #: The RIPE NCC testing address as a value (Section 3.3 filtering).

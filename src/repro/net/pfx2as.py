@@ -11,12 +11,12 @@ per line) so tests can exercise round-trips and malformed-input handling.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from repro.errors import DatasetError, ParseError
 from repro.net.ipv4 import IPv4Address, IPv4Prefix
-from repro.net.trie import PrefixTrie
 from repro.util import timeutil
 from repro.util.colpack import HAVE_NUMPY
 
@@ -26,6 +26,7 @@ from repro.util.ingest import (
     IngestReport,
     ReadPolicy,
     format_line_error,
+    record_lines,
 )
 
 #: Dataset label used in ingest accounting and diagnostics.
@@ -44,95 +45,139 @@ class AsMapping:
             raise ParseError("ASN must be positive, got %r" % (self.asn,))
 
 
-#: Sentinel ASN in flattened stab tables for unrouted address space.
+#: Sentinel in flattened stab tables for unrouted address space, both
+#: as an ASN and as a prefix id.
 UNROUTED = -1
 
 
+def prefix_id(prefix: IPv4Prefix) -> int:
+    """A prefix as one integer: ``network << 6 | length``.
+
+    Ids are equal exactly when the prefixes are, and order like the
+    prefixes themselves (by network, then length), so batched lookups
+    can compare, dedupe and sort plain ints.
+    """
+    return prefix.network << 6 | prefix.length
+
+
+def prefix_of_id(pid: int) -> IPv4Prefix:
+    """The prefix a :func:`prefix_id` value stands for."""
+    return IPv4Prefix(pid >> 6, pid & 63)
+
+
 class Pfx2AsSnapshot:
-    """A single month's prefix-to-AS table with longest-prefix lookup."""
+    """A single month's prefix-to-AS table with longest-prefix lookup.
+
+    Every lookup goes through one flattened stab table (see
+    :meth:`prefix_table`), built on first use and dropped by :meth:`add`.
+    """
 
     def __init__(self, mappings: Iterable[AsMapping] = ()) -> None:
-        self._trie: PrefixTrie[AsMapping] = PrefixTrie()
-        self._stab: tuple[list[int], list[int]] | None = None
+        self._mappings: dict[IPv4Prefix, AsMapping] = {}
+        #: ``(bounds, prefix ids, asns)``, per segment.
+        self._table: tuple[list[int], list[int], list[int]] | None = None
         self._stab_arrays: tuple | None = None
         for mapping in mappings:
             self.add(mapping)
 
     def __len__(self) -> int:
-        return len(self._trie)
+        return len(self._mappings)
 
     def add(self, mapping: AsMapping) -> None:
         """Insert a mapping, replacing any previous entry for the prefix."""
-        self._trie.insert(mapping.prefix, mapping)
-        self._stab = None  # flattened table (and its arrays) are stale
+        self._mappings[mapping.prefix] = mapping
+        self._table = None  # flattened table (and its arrays) are stale
         self._stab_arrays = None
+
+    def _segment(self, address: IPv4Address) -> int:
+        bounds = self._stab()[0]
+        return bisect_right(bounds, address.value) - 1
 
     def origin_asn(self, address: IPv4Address) -> int | None:
         """Return the origin ASN for ``address`` or None when unrouted."""
-        mapping = self._trie.lookup(address)
-        return None if mapping is None else mapping.asn
+        asn = self._stab()[2][self._segment(address)]
+        return None if asn == UNROUTED else asn
 
     def bgp_prefix(self, address: IPv4Address) -> IPv4Prefix | None:
         """Return the longest routed prefix covering ``address``.
 
         This is the 'BGP prefix' granularity of Table 7.
         """
-        mapping = self._trie.lookup(address)
-        return None if mapping is None else mapping.prefix
+        pid = self._stab()[1][self._segment(address)]
+        return None if pid == UNROUTED else prefix_of_id(pid)
 
     def mappings(self) -> Iterator[AsMapping]:
         """Yield all mappings in address order."""
-        for _prefix, mapping in self._trie.items():
-            yield mapping
+        for prefix in sorted(self._mappings):
+            yield self._mappings[prefix]
+
+    def prefix_table(self) -> tuple[list[int], list[int]]:
+        """The mappings flattened into a longest-prefix-match stab table.
+
+        Returns ``(bounds, ids)``: ``bounds`` is a sorted list of segment
+        start addresses beginning at 0, and ``ids[i]`` is the
+        :func:`prefix_id` of the most specific prefix covering
+        ``[bounds[i], bounds[i+1])`` — :data:`UNROUTED` where no prefix
+        covers the segment.  Lookup is ``ids[bisect_right(bounds, addr)
+        - 1]``.  Distinct prefixes keep distinct segments even when they
+        share an origin AS.
+        """
+        bounds, ids, _ = self._stab()
+        return bounds, ids
 
     def stab_table(self) -> tuple[list[int], list[int]]:
-        """The trie flattened into a longest-prefix-match stab table.
+        """:meth:`prefix_table` with each segment's origin ASN for its id.
 
-        Returns ``(bounds, asns)``: ``bounds`` is a sorted list of
-        segment start addresses beginning at 0, and ``asns[i]`` is the
-        origin ASN covering ``[bounds[i], bounds[i+1])`` —
-        :data:`UNROUTED` where no prefix covers the segment.  Lookup is
-        ``asns[bisect_right(bounds, addr) - 1]``, equivalent to
-        :meth:`origin_asn` for every address (the vectorized kernels
-        batch exactly this with ``numpy.searchsorted``).
-
-        Built lazily from the pre-order :meth:`PrefixTrie.items` walk —
-        parents arrive before children and siblings in address order, so
-        one stack sweep paints most-specific-wins segments.  Cached
-        until the next :meth:`add` invalidates it.
+        ``asns[bisect_right(bounds, addr) - 1]`` equals
+        :meth:`origin_asn` for every address (:data:`UNROUTED` for
+        None); the vectorized kernels batch exactly this with
+        ``numpy.searchsorted``.
         """
-        if self._stab is not None:
-            return self._stab
+        bounds, _, asns = self._stab()
+        return bounds, asns
+
+    def _stab(self) -> tuple[list[int], list[int], list[int]]:
+        """Build (once per :meth:`add`) the segment table of every lookup.
+
+        One sweep over the prefixes in address order, where parents
+        precede their more-specifics: a stack of open prefixes paints
+        most-specific-wins segments, and each segment's ASN is read off
+        its prefix id afterwards.
+        """
+        if self._table is not None:
+            return self._table
         bounds: list[int] = [0]
-        asns: list[int] = [UNROUTED]
+        ids: list[int] = [UNROUTED]
 
-        def paint(start: int, asn: int) -> None:
+        def paint(start: int, pid: int) -> None:
             # Segments arrive with non-decreasing starts; drop zero-width
-            # segments and merge equal-valued neighbours.
+            # segments and merge neighbours of the same prefix.
             if bounds[-1] == start:
-                if len(bounds) > 1 and asns[-2] == asn:
+                if len(bounds) > 1 and ids[-2] == pid:
                     bounds.pop()
-                    asns.pop()
+                    ids.pop()
                 else:
-                    asns[-1] = asn
-            elif asns[-1] != asn:
+                    ids[-1] = pid
+            elif ids[-1] != pid:
                 bounds.append(start)
-                asns.append(asn)
+                ids.append(pid)
 
-        stack: list[tuple[int, int]] = []  # (end address, asn), nested
-        for prefix, mapping in self._trie.items():
+        asn_of = {UNROUTED: UNROUTED}
+        stack: list[tuple[int, int]] = []  # (end address, id), nested
+        for prefix in sorted(self._mappings):
+            pid = prefix_id(prefix)
+            asn_of[pid] = self._mappings[prefix].asn
             start = prefix.network
-            end = start + (1 << (32 - prefix.length))
             while stack and stack[-1][0] <= start:
                 resumed, _ = stack.pop()
                 paint(resumed, stack[-1][1] if stack else UNROUTED)
-            paint(start, mapping.asn)
-            stack.append((end, mapping.asn))
+            paint(start, pid)
+            stack.append((start + prefix.size, pid))
         while stack:
             resumed, _ = stack.pop()
             paint(resumed, stack[-1][1] if stack else UNROUTED)
-        self._stab = (bounds, asns)
-        return self._stab
+        self._table = (bounds, ids, [asn_of[pid] for pid in ids])
+        return self._table
 
     def stab_arrays(self):
         """:meth:`stab_table` as a pair of int64 numpy arrays.
@@ -189,10 +234,8 @@ class Pfx2AsSnapshot:
         source = source or getattr(stream, "name", "<pfx2as>")
         report = report if report is not None else IngestReport()
         snapshot = cls()
-        for line_number, line in enumerate(stream, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
+        parsed = 0
+        for line_number, text in record_lines(stream):
             try:
                 snapshot.add(cls._parse_line(text))
             except ParseError as error:
@@ -203,7 +246,8 @@ class Pfx2AsSnapshot:
                 report.quarantined(DATASET_NAME, source, line_number,
                                    str(error))
                 continue
-            report.parsed(DATASET_NAME)
+            parsed += 1
+        report.parsed(DATASET_NAME, parsed)
         return snapshot
 
 
@@ -272,3 +316,35 @@ class IpToAsDataset:
                    timestamp: float) -> IPv4Prefix | None:
         """Routed prefix covering ``address`` in the month of ``timestamp``."""
         return self.snapshot_for(timestamp).bgp_prefix(address)
+
+    def prefix_ids(self, values: Sequence[int],
+                   times: Sequence[float]) -> list[int]:
+        """Batched :meth:`bgp_prefix` over parallel address values/times.
+
+        Returns each address's covering :func:`prefix_id` in the month
+        of its time, :data:`UNROUTED` standing in for None.  Lookups are
+        grouped by calendar month and every month resolves its snapshot
+        through :meth:`snapshot_for` once, at its first lookup, so
+        fallback and missing-month :class:`DatasetError` semantics (and
+        which month fails first) are exactly the per-call ones.
+        """
+        if not values:
+            return []
+        first = timeutil.month_of(min(times))
+        last = timeutil.month_of(max(times))
+        keys = [first]
+        while keys[-1] < last:
+            year, month = keys[-1]
+            keys.append((year + 1, 1) if month == 12 else (year, month + 1))
+        starts = [timeutil.epoch(year, month, 1) for year, month in keys]
+        tables: list[tuple[list[int], list[int]] | None] = [None] * len(keys)
+        out: list[int] = []
+        for value, when in zip(values, times):
+            group = bisect_right(starts, when) - 1
+            table = tables[group]
+            if table is None:
+                table = tables[group] = self.snapshot_for(
+                    starts[group]).prefix_table()
+            bounds, ids = table
+            out.append(ids[bisect_right(bounds, value) - 1])
+        return out

@@ -35,6 +35,7 @@ from repro.util.ingest import (
     IngestReport,
     ReadPolicy,
     format_line_error,
+    record_lines,
 )
 from repro.util.intervals import Interval, IntervalSet
 
@@ -182,11 +183,9 @@ def _read_archive(path: Path,
     source = str(path)
     report = report if report is not None else IngestReport()
     archive = ProbeArchive()
+    parsed = 0
     with open(path) as stream:
-        for line_number, line in enumerate(stream, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
+        for line_number, text in record_lines(stream):
             try:
                 # ProbeArchive.add rejects duplicates and unknown
                 # continents (DatasetError).
@@ -199,7 +198,8 @@ def _read_archive(path: Path,
                 report.quarantined("archive", source, line_number,
                                    str(error))
                 continue
-            report.parsed("archive")
+            parsed += 1
+    report.parsed("archive", parsed)
     return archive
 
 
@@ -263,6 +263,7 @@ def _load_kroot(path: Path | None, policy: ReadPolicy,
     if not isinstance(states, list):
         raise DatasetError("%s: expected a JSON array of series states"
                            % source)
+    parsed = 0
     for index, state in enumerate(states, start=1):
         try:
             # KRootDataset.add_series rejects duplicates (DatasetError).
@@ -272,7 +273,8 @@ def _load_kroot(path: Path | None, policy: ReadPolicy,
                 raise
             report.quarantined("kroot", source, index, str(error))
             continue
-        report.parsed("kroot")
+        parsed += 1
+    report.parsed("kroot", parsed)
     return kroot
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Iterator, TextIO
 
 
 class ReadPolicy(enum.Enum):
@@ -54,6 +55,20 @@ def format_line_error(source: str, line_number: int, message: object) -> str:
     failure inside a multi-file bundle is attributable to its file.
     """
     return "%s: line %d: %s" % (source, line_number, message)
+
+
+def record_lines(stream: TextIO) -> Iterator[tuple[int, str]]:
+    """``(line_number, text)`` for every record line of a text stream.
+
+    The stream is consumed in one ``read()``; line numbers count from 1
+    exactly as iterating the stream would, and blank lines and ``#``
+    comments are skipped.  ``text`` is the line stripped of surrounding
+    whitespace, the form every record parser takes.
+    """
+    for line_number, line in enumerate(stream.read().split("\n"), start=1):
+        text = line.strip()
+        if text and not text.startswith("#"):
+            yield line_number, text
 
 
 @dataclass(frozen=True)
@@ -113,8 +128,9 @@ class DatasetIngest:
 class IngestReport:
     """Structured outcome of loading one bundle (or one stream).
 
-    Readers call :meth:`parsed` / :meth:`repaired` / :meth:`quarantined`
-    per record and :meth:`note` for dataset-level observations; callers
+    Readers call :meth:`repaired` / :meth:`quarantined` per record,
+    :meth:`parsed` once per file with its count of clean records, and
+    :meth:`note` for dataset-level observations; callers
     render with :meth:`render` (text) or :meth:`to_dict` (JSON).
     """
 
@@ -134,8 +150,13 @@ class IngestReport:
     # -- recording ---------------------------------------------------------
 
     def parsed(self, dataset: str, count: int = 1) -> None:
-        """Count ``count`` clean records for a dataset."""
-        self.dataset(dataset).parsed += count
+        """Count ``count`` clean records for a dataset.
+
+        Readers report a whole file's clean records in one call; a zero
+        count touches nothing, so an empty file adds no dataset row.
+        """
+        if count:
+            self.dataset(dataset).parsed += count
 
     def repaired(self, dataset: str, source: str, line: int | None,
                  message: str) -> None:

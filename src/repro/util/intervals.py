@@ -65,10 +65,17 @@ class IntervalSet:
     """
 
     def __init__(self, intervals: Iterable[Interval] = ()) -> None:
-        self._starts: list[float] = []
-        self._intervals: list[Interval] = []
-        for interval in intervals:
-            self.add(interval)
+        # Sort, then coalesce in one linear pass: the same normalized set
+        # that adding the intervals one by one would build.
+        merged: list[Interval] = []
+        for interval in sorted(iv for iv in intervals if not iv.is_empty()):
+            if merged and interval.start <= merged[-1].end:
+                if interval.end > merged[-1].end:
+                    merged[-1] = Interval(merged[-1].start, interval.end)
+            else:
+                merged.append(interval)
+        self._intervals = merged
+        self._starts = [interval.start for interval in merged]
 
     def __len__(self) -> int:
         return len(self._intervals)

@@ -6,6 +6,7 @@ Every test here drives the complete stage graph through real sockets
 """
 
 import pickle
+import threading
 
 import pytest
 
@@ -167,3 +168,17 @@ def test_worker_cache_short_circuit_unit(tmp_path):
     fallthrough = worker._compute(bad_lease)
     assert not fallthrough.cache_hit
     assert "worker context" in fallthrough.error
+
+
+def test_loopback_run_leaves_no_accept_thread_alive(dist_run):
+    """Closing the lease server must wake and reap its accept thread:
+    a thread blocked in accept() would keep the server, its runner, the
+    bundle and the results alive after the run returns."""
+    before = set(threading.enumerate())
+    run, runner = dist_run(worker_count=2)
+    assert run.worker_errors == {}
+    leaked = [thread for thread in threading.enumerate()
+              if thread.name == "repro-dist-accept"
+              and thread not in before]
+    assert leaked == []
+    assert not runner._server._accept_thread.is_alive()
