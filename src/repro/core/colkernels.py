@@ -1,20 +1,20 @@
 """Vectorized stage kernels over the columnar Atlas views.
 
-Array-backed replacements for the hot per-probe kernels in
-:mod:`repro.core.pipeline`: probe classification (stage ``filter``,
-including change extraction and the batched IP-to-AS lookups), span
-extraction (stage ``spans``), uptime-reset detection (stage ``reboots``)
-and gap association (stage ``gaps``).  Each function is a drop-in for
-the corresponding record-kernel and must produce **bit-identical**
-objects — the ``results_digest`` equivalence suite and the differential
-tests in ``tests/runtime`` pin this, and the legacy kernels remain
-available (``--legacy-kernels``) as the oracle.
+The hot per-probe kernels behind :mod:`repro.core.pipeline`'s stage
+functions: probe classification (stage ``filter``, including change
+extraction and the batched IP-to-AS lookups), span extraction (stage
+``spans``), uptime-reset detection (stage ``reboots``) and gap
+association (stage ``gaps``).  Each must produce objects
+**bit-identical** to the record primitives (``ProbeFilter``,
+``extract_spans``, ``detect_reboots``, ``associate_probe_gaps``) run
+probe by probe — the differential tests pin this against the record
+oracle in ``tests/record_oracle.py``.
 
 Exactness rules the implementations follow:
 
 * every float that reaches a result dataclass is taken from the
   columns via ``tolist()`` (bit-identical to the source records) or
-  computed with the same scalar IEEE operation the legacy kernel used
+  computed with the same scalar IEEE operation the record kernel used
   (elementwise float64 add/sub equals the CPython scalar op);
 * order-sensitive reductions (the 30-day connected-time threshold)
   use sequential ``sum`` over native floats, never pairwise numpy
@@ -28,12 +28,14 @@ The gap kernel avoids materializing ping records entirely: a
 probe's generative series (the overwhelming majority of gaps touch
 none, and classify as NONE straight from two ``searchsorted`` calls);
 the few gaps near an outage or reboot fall back to an exact per-gap
-path that reuses the legacy LTS-run rules and reboot bracketing.
+path that reuses the record path's LTS-run rules and reboot bracketing.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
+
+import numpy as np
 
 from repro.atlas.columnar import ColumnarConnlog, ColumnarUptime
 from repro.atlas.kroot import DEFAULT_CADENCE, HEALTHY_LTS, KRootSeries
@@ -47,20 +49,9 @@ from repro.core.filtering import (
 )
 from repro.core.reboots import Reboot
 from repro.net.ipv4 import TESTING_ADDRESS
-from repro.net.pfx2as import UNROUTED, IpToAsDataset, Pfx2AsSnapshot
-from repro.util import timeutil
-from repro.util.colpack import HAVE_NUMPY
-
-if HAVE_NUMPY:
-    import numpy as np
+from repro.net.pfx2as import UNROUTED, IpToAsDataset
 
 _TESTING_VALUE = TESTING_ADDRESS.value
-
-
-def _require_numpy() -> None:
-    if not HAVE_NUMPY:
-        raise RuntimeError("columnar kernels require numpy; gate callers "
-                           "on repro.util.colpack.HAVE_NUMPY")
 
 
 def _strip_offset(col: ColumnarConnlog, lo: int, hi: int) -> int:
@@ -77,43 +68,6 @@ def _strip_offset(col: ColumnarConnlog, lo: int, hi: int) -> int:
     return lo
 
 
-# -- batched IP-to-AS lookups -------------------------------------------------
-
-def _batch_origin_asns(ip2as: IpToAsDataset, addr_values: Sequence[int],
-                       times: Sequence[float]):
-    """Vectorized :meth:`IpToAsDataset.origin_asn` over parallel lists.
-
-    Returns an int64 array with :data:`UNROUTED` standing in for None.
-    Lookups are grouped by calendar month (the paper's snapshot
-    granularity); each group resolves its snapshot through the normal
-    ``snapshot_for`` path, so missing-month and fallback semantics are
-    exactly the per-call dataset's.
-    """
-    if not addr_values:
-        return np.empty(0, dtype=np.int64)
-    addrs = np.asarray(addr_values, dtype=np.int64)
-    when = np.asarray(times, dtype=np.float64)
-    out = np.empty(len(addrs), dtype=np.int64)
-    last_key = timeutil.month_of(float(when.max()))
-    keys = [timeutil.month_of(float(when.min()))]
-    while keys[-1] < last_key:
-        year, month = keys[-1]
-        keys.append((year + 1, 1) if month == 12 else (year, month + 1))
-    bounds = np.asarray(
-        [timeutil.epoch(year, month, 1) for year, month in keys],
-        dtype=np.float64)
-    group = np.searchsorted(bounds, when, side="right") - 1
-    for index in range(len(keys)):
-        mask = group == index
-        if not mask.any():
-            continue
-        snapshot = ip2as.snapshot_for(float(bounds[index]))
-        stab_bounds, stab_asns = snapshot.stab_arrays()
-        pos = np.searchsorted(stab_bounds, addrs[mask], side="right") - 1
-        out[mask] = stab_asns[pos]
-    return out
-
-
 # -- stage ``filter`` ---------------------------------------------------------
 
 def classify_probes(col: ColumnarConnlog, connlog, archive,
@@ -124,10 +78,8 @@ def classify_probes(col: ColumnarConnlog, connlog, archive,
     many probes, in the same precedence order.
 
     ``with_entries=False`` leaves ``verdict.entries`` empty (the slim
-    IPC/cache form); :func:`repro.core.filtering.restore_entries` can
-    rebuild them exactly from the connection log.
+    IPC/cache form).
     """
-    _require_numpy()
     if probe_ids is None:
         pids = col.probe_ids.tolist()
     else:
@@ -190,7 +142,7 @@ def classify_probes(col: ColumnarConnlog, connlog, archive,
 
     if not pending:
         return verdicts
-    asns = _batch_origin_asns(ip2as, lookup_addrs, lookup_times)
+    asns = ip2as.origin_asns(lookup_addrs, lookup_times)
     cursor = 0
     first_addrs: list[int] = []
     first_times: list[float] = []
@@ -211,7 +163,7 @@ def classify_probes(col: ColumnarConnlog, connlog, archive,
             # entry the record kernel scans for is simply entries[0].
             first_addrs.append(entries[0].address.value)
             first_times.append(entries[0].start)
-    first_asns = _batch_origin_asns(ip2as, first_addrs, first_times)
+    first_asns = ip2as.origin_asns(first_addrs, first_times)
     first_cursor = 0
     for pid, entries, changes, within, multi_as in resolved:
         asn = None
@@ -232,13 +184,13 @@ def classify_probes(col: ColumnarConnlog, connlog, archive,
 def probe_spans_col(col: ColumnarConnlog, connlog,
                     probe_ids: Sequence[int]
                     ) -> dict[int, tuple[list[AddressSpan], list[float]]]:
-    """Columnar :func:`~repro.core.pipeline.probe_spans` over a batch.
+    """Spans and known durations per probe (:func:`~repro.core.changes
+    .extract_spans` and :func:`~repro.core.changes.known_durations`).
 
     Only valid for analyzable (pure-IPv4) probes: runs of equal
     addresses merge into spans, the first/last span of a probe has an
     unknown boundary, interior spans are the known durations.
     """
-    _require_numpy()
     run_starts = col.run_starts()
     starts = col.starts.tolist()
     ends = col.ends.tolist()
@@ -279,7 +231,6 @@ def detect_reboots_col(colup: ColumnarUptime,
     Every requested probe gets a key (possibly an empty list), matching
     :func:`~repro.core.reboots.detect_all_reboots`.
     """
-    _require_numpy()
     if probe_ids is None:
         pids = colup.probe_ids.tolist()
     else:
@@ -405,7 +356,7 @@ def _classify_slow(pid: int, gap_start: float, gap_end: float,
                                 changed, end - start)
         a = b
     for reboot in ordered_reboots[i0:i1]:
-        # The legacy round-bracketing scan stays the oracle for power
+        # The record round-bracketing scan stays the oracle for power
         # outage durations; only ~a few thousand gaps reach it.
         missing, duration = association._missing_rounds_around(
             series, reboot.time)
@@ -418,14 +369,14 @@ def _classify_slow(pid: int, gap_start: float, gap_end: float,
 def gap_events_col(col: ColumnarConnlog, kroot,
                    items: Sequence[tuple[int, list[Reboot]]]
                    ) -> dict[int, list[GapEvent]]:
-    """Columnar :func:`~repro.core.pipeline.probe_gap_events` over a batch.
+    """Columnar :func:`~repro.core.association.associate_probe_gaps` over
+    a batch.
 
     ``items`` pairs each probe id with its firmware-filtered reboots,
     exactly like the gap shard payloads.  The fast path proves NONE for
     every gap whose corroboration window contains no all-lost tick and
     no reboot; the remainder go through :func:`_classify_slow`.
     """
-    _require_numpy()
     out: dict[int, list[GapEvent]] = {}
     for pid, reboots in items:
         pid = int(pid)

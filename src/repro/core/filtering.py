@@ -144,32 +144,6 @@ def report_from_verdicts(verdicts: dict[int, ProbeVerdict]) -> FilterReport:
     return FilterReport(verdicts=verdicts, total=total)
 
 
-#: Categories whose verdicts carry (stripped) entry lists; every other
-#: category stores ``entries=[]`` by construction, so these are the only
-#: ones a slim artifact actually dropped anything from.
-_ENTRY_CATEGORIES = (ProbeCategory.TESTING_ONLY, ProbeCategory.NEVER_CHANGED,
-                     ProbeCategory.ANALYZABLE)
-
-
-def restore_entries(report: FilterReport,
-                    connlog: ConnectionLog) -> FilterReport:
-    """Rebuild the entry lists a slim (entry-stripped) report dropped.
-
-    A verdict's entries are always ``strip_testing_entry`` of the
-    probe's connection-log entries — a pure function of the log — so a
-    slim cached/IPC report plus the log reconstructs the fat report
-    without re-running classification.  Mutates ``report`` in place and
-    returns it.
-    """
-    for verdict in report.verdicts.values():
-        if verdict.category in _ENTRY_CATEGORIES and not verdict.entries:
-            verdict.entries, _ = strip_testing_entry(
-                connlog.entries(verdict.probe_id), TESTING_ADDRESS)
-    if getattr(report, "entries_stripped", False):
-        report.entries_stripped = False  # type: ignore[attr-defined]
-    return report
-
-
 def looks_multihomed(addresses: Sequence[IPv4Address],
                      min_runs: int = MULTIHOMED_MIN_RUNS) -> bool:
     """Heuristic from Section 3.2: one address recurs in many separate runs.

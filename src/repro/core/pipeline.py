@@ -8,12 +8,14 @@ the experiment drivers and benchmarks call.
 
 Each stage is a named, module-level pure function (``stage_filter``,
 ``stage_spans``, ``stage_changes``, ``stage_reboots``, ``stage_gaps``,
-``stage_stats``, ``stage_v3``) of its declared inputs only, plus per-probe
-kernels (``probe_spans``, ``probe_gap_events``) for the stages that are
-embarrassingly parallel across probes.  :class:`AnalysisPipeline` chains
-them serially; :mod:`repro.runtime` wires the same functions into a stage
-graph and fans the per-probe kernels out over shards, so the two paths
-cannot drift apart.
+``stage_stats``, ``stage_v3``) of its declared inputs only.  The four
+hot ones run the columnar kernels of :mod:`repro.core.colkernels` over
+the array views of :mod:`repro.atlas.columnar`, and those kernels are
+per-probe, so they fan out over shards.  :class:`AnalysisPipeline`
+chains the stages serially; :mod:`repro.runtime` wires the same
+functions into a stage graph, and both assemble their results through
+:meth:`AnalysisResults.from_artifacts`, so the two paths cannot drift
+apart.
 """
 
 from __future__ import annotations
@@ -28,13 +30,8 @@ from repro.atlas.kroot import KRootDataset
 from repro.atlas.sosuptime import UptimeDataset
 from repro.atlas.types import ProbeVersion
 from repro.core import colkernels, geography
-from repro.core.association import GapEvent, associate_probe_gaps
-from repro.core.changes import (
-    AddressChange,
-    AddressSpan,
-    extract_spans,
-    known_durations,
-)
+from repro.core.association import GapEvent
+from repro.core.changes import AddressChange, AddressSpan
 from repro.core.conditional import (
     OutageRenumberingRow,
     ProbeOutageStats,
@@ -44,11 +41,7 @@ from repro.core.conditional import (
     probe_outage_stats,
     stats_for_asn,
 )
-from repro.core.filtering import (
-    FilterReport,
-    ProbeFilter,
-    report_from_verdicts,
-)
+from repro.core.filtering import FilterReport, report_from_verdicts
 from repro.core.hourofday import hour_histogram, periodic_change_hours
 from repro.core.outage_buckets import DurationBucket, bucket_outages
 from repro.core.periodicity import (
@@ -59,7 +52,6 @@ from repro.core.periodicity import (
 )
 from repro.core.prefixes import PrefixChangeRow, prefix_change_table
 from repro.core.reboots import (
-    detect_all_reboots,
     detect_firmware_days,
     firmware_filtered_reboots,
     reboots_per_day,
@@ -67,7 +59,6 @@ from repro.core.reboots import (
 from repro.core.timefraction import DEFAULT_BIN
 from repro.net.pfx2as import IpToAsDataset
 from repro.util import timeutil
-from repro.util.colpack import HAVE_NUMPY
 from repro.util.ordering import ordered, ordered_items
 from repro.util.stats import CdfPoint
 
@@ -100,6 +91,34 @@ class AnalysisResults:
     #: Sorted ids (membership-tested only; sorted so the digest and any
     #: future serialization see a deterministic order).
     _v3_probes: tuple[int, ...] = ()
+
+    @classmethod
+    def from_artifacts(cls, artifacts: Mapping[str, object],
+                       as_names: Mapping[int, str],
+                       as_countries: Mapping[int, str]
+                       ) -> "AnalysisResults":
+        """Assemble the results of a finished run.
+
+        ``artifacts`` maps the stage graph's artifact names — the
+        ``archive`` and ``ip2as`` sources plus every stage output — to
+        their values.  The one constructor both execution tiers use.
+        """
+        return cls(
+            filter_report=artifacts["filter_report"],
+            archive=artifacts["archive"],
+            ip2as=artifacts["ip2as"],
+            as_names=dict(as_names),
+            as_countries=dict(as_countries),
+            spans_by_probe=artifacts["spans_by_probe"],
+            durations_by_probe=artifacts["durations_by_probe"],
+            changes_by_probe=artifacts["changes_by_probe"],
+            asn_by_probe=artifacts["asn_by_probe"],
+            gap_events_by_probe=artifacts["gap_events_by_probe"],
+            stats_by_probe=artifacts["stats_by_probe"],
+            reboot_day_counts=artifacts["reboot_day_counts"],
+            firmware_days=artifacts["firmware_days"],
+            _v3_probes=artifacts["v3_probes"],
+        )
 
     # -- subsets -----------------------------------------------------------
 
@@ -248,34 +267,39 @@ class AnalysisResults:
 
 # -- named pure stage functions ---------------------------------------------
 #
-# The decomposition of the serial pipeline.  Every function depends only on
-# its arguments, so results are a pure function of the input datasets; the
-# per-probe kernels are additionally independent across probes, which is
-# what makes shard-parallel execution (repro.runtime) bit-identical to the
-# serial path.
+# The decomposition of the analysis.  Every function depends only on its
+# arguments, so results are a pure function of the input datasets; the
+# columnar kernels behind the hot stages are additionally independent
+# across probes, which is what makes shard-parallel execution
+# (repro.runtime) bit-identical to the serial path.
 
-def stage_filter(connlog: ConnectionLog, archive: ProbeArchive,
-                 ip2as: IpToAsDataset,
+def stage_filter(col: ColumnarConnlog, connlog: ConnectionLog,
+                 archive: ProbeArchive, ip2as: IpToAsDataset,
                  min_connected: float = 30 * timeutil.DAY) -> FilterReport:
     """Stage ``filter``: classify every probe (Table 2)."""
-    return ProbeFilter(connlog, archive, ip2as,
-                       min_connected=min_connected).run()
+    return report_from_verdicts(colkernels.classify_probes(
+        col, connlog, archive, ip2as, min_connected))
 
 
-def probe_spans(entries) -> tuple[list[AddressSpan], list[float]]:
-    """Per-probe kernel for stage ``spans``: spans and known durations."""
-    spans = extract_spans(entries)
-    return spans, known_durations(spans)
-
-
-def stage_spans(filter_report: FilterReport
+def stage_spans(col: ColumnarConnlog, connlog: ConnectionLog,
+                filter_report: FilterReport
                 ) -> tuple[dict[int, list[AddressSpan]],
                            dict[int, list[float]]]:
     """Stage ``spans``: address spans/durations per geography probe."""
+    return split_spans(colkernels.probe_spans_col(
+        col, connlog, filter_report.analyzable_geo()))
+
+
+def split_spans(payload: Mapping[int, tuple[list[AddressSpan], list[float]]]
+                ) -> tuple[dict[int, list[AddressSpan]],
+                           dict[int, list[float]]]:
+    """Per-probe ``(spans, durations)`` pairs as stage ``spans``' outputs.
+
+    Probes without a known duration get no ``durations_by_probe`` key.
+    """
     spans_by_probe: dict[int, list[AddressSpan]] = {}
     durations_by_probe: dict[int, list[float]] = {}
-    for probe_id in filter_report.analyzable_geo():
-        spans, durations = probe_spans(filter_report.verdicts[probe_id].entries)
+    for probe_id, (spans, durations) in payload.items():
         spans_by_probe[probe_id] = spans
         if durations:
             durations_by_probe[probe_id] = durations
@@ -312,31 +336,31 @@ def aggregate_reboots(raw_reboots: Mapping[int, list]
     return day_counts, firmware_days, filtered
 
 
-def stage_reboots(uptime: UptimeDataset
+def stage_reboots(colup: ColumnarUptime
                   ) -> tuple[dict[int, int], list[int], dict[int, list]]:
     """Stage ``reboots``: day counts, firmware days, filtered reboots."""
-    return aggregate_reboots(detect_all_reboots(uptime))
+    return aggregate_reboots(colkernels.detect_reboots_col(colup))
 
 
-def probe_gap_events(entries, series, reboots) -> list[GapEvent]:
-    """Per-probe kernel for stage ``gaps``: classify one probe's gaps."""
-    return associate_probe_gaps(entries, series, reboots)
+def gap_items(filter_report: FilterReport, kroot: KRootDataset,
+              filtered_reboots: Mapping[int, list]
+              ) -> list[tuple[int, list]]:
+    """Stage ``gaps``' work items: ``(probe id, filtered reboots)`` for
+    every single-AS probe the k-root dataset covers, in sorted order."""
+    # analyzable_as() is sorted already; the explicit barrier lets
+    # RPR009 prove the output's key order without trusting that.
+    return [(probe_id, filtered_reboots.get(probe_id, []))
+            for probe_id in ordered(filter_report.analyzable_as())
+            if kroot.has_probe(probe_id)]
 
 
-def stage_gaps(filter_report: FilterReport, kroot: KRootDataset,
+def stage_gaps(col: ColumnarConnlog, kroot: KRootDataset,
+               filter_report: FilterReport,
                filtered_reboots: Mapping[int, list]
                ) -> dict[int, list[GapEvent]]:
     """Stage ``gaps``: associate connection gaps with observed outages."""
-    gap_events_by_probe: dict[int, list[GapEvent]] = {}
-    # analyzable_as() is sorted already; the explicit barrier lets
-    # RPR009 prove the output's key order without trusting that.
-    for probe_id in ordered(filter_report.analyzable_as()):
-        if not kroot.has_probe(probe_id):
-            continue
-        gap_events_by_probe[probe_id] = probe_gap_events(
-            filter_report.verdicts[probe_id].entries, kroot.series(probe_id),
-            filtered_reboots.get(probe_id, []))
-    return gap_events_by_probe
+    return colkernels.gap_events_col(
+        col, kroot, gap_items(filter_report, kroot, filtered_reboots))
 
 
 def stage_stats(gap_events_by_probe: Mapping[int, list[GapEvent]]
@@ -344,9 +368,9 @@ def stage_stats(gap_events_by_probe: Mapping[int, list[GapEvent]]
     """Stage ``stats``: per-probe conditional outage statistics.
 
     Iterates in sorted-key order rather than insertion order: the input
-    mapping is sorted however it was produced (serial loop, shard
-    merge, columnar kernel), but this stage's output feeds the digest,
-    so its order must not *depend* on that (RPR009).
+    mapping is sorted however it was produced (serial loop or shard
+    merge), but this stage's output feeds the digest, so its order must
+    not *depend* on that (RPR009).
     """
     return {probe_id: probe_outage_stats(probe_id, events)
             for probe_id, events in ordered_items(gap_events_by_probe)}
@@ -367,56 +391,6 @@ def stage_v3(asn_by_probe: Mapping[int, int],
     ))
 
 
-# -- columnar stage variants --------------------------------------------------
-#
-# Vectorized drop-ins for the four hot stages, over the array-backed views
-# (DESIGN.md §16).  Both execution tiers (AnalysisPipeline below and the
-# sharded runtime executor) call these same wrappers, and each is pinned
-# bit-identical to its record-kernel twin by the differential suite; the
-# legacy functions above remain the oracle (``--legacy-kernels``).
-
-def stage_filter_col(col: ColumnarConnlog, connlog: ConnectionLog,
-                     archive: ProbeArchive, ip2as: IpToAsDataset,
-                     min_connected: float = 30 * timeutil.DAY
-                     ) -> FilterReport:
-    """Columnar :func:`stage_filter`."""
-    return report_from_verdicts(colkernels.classify_probes(
-        col, connlog, archive, ip2as, min_connected))
-
-
-def stage_spans_col(col: ColumnarConnlog, connlog: ConnectionLog,
-                    filter_report: FilterReport
-                    ) -> tuple[dict[int, list[AddressSpan]],
-                               dict[int, list[float]]]:
-    """Columnar :func:`stage_spans`."""
-    payload = colkernels.probe_spans_col(col, connlog,
-                                         filter_report.analyzable_geo())
-    spans_by_probe: dict[int, list[AddressSpan]] = {}
-    durations_by_probe: dict[int, list[float]] = {}
-    for probe_id, (spans, durations) in payload.items():
-        spans_by_probe[probe_id] = spans
-        if durations:
-            durations_by_probe[probe_id] = durations
-    return spans_by_probe, durations_by_probe
-
-
-def stage_reboots_col(colup: ColumnarUptime
-                      ) -> tuple[dict[int, int], list[int], dict[int, list]]:
-    """Columnar :func:`stage_reboots`."""
-    return aggregate_reboots(colkernels.detect_reboots_col(colup))
-
-
-def stage_gaps_col(col: ColumnarConnlog, kroot: KRootDataset,
-                   filter_report: FilterReport,
-                   filtered_reboots: Mapping[int, list]
-                   ) -> dict[int, list[GapEvent]]:
-    """Columnar :func:`stage_gaps`."""
-    items = [(probe_id, filtered_reboots.get(probe_id, []))
-             for probe_id in ordered(filter_report.analyzable_as())
-             if kroot.has_probe(probe_id)]
-    return colkernels.gap_events_col(col, kroot, items)
-
-
 class AnalysisPipeline:
     """Runs the full analysis over one set of input datasets.
 
@@ -427,12 +401,6 @@ class AnalysisPipeline:
     absent from SOS-uptime simply has no reboots; a probe absent from
     the archive is skipped by geography and the v3 power analysis.
     Only the connection log decides which probes exist at all.
-
-    ``columnar`` selects the vectorized kernels: ``None`` (the default)
-    auto-enables them when numpy is importable, ``False`` forces the
-    legacy record kernels (the differential oracle), ``True`` insists —
-    and still degrades to legacy on a numpy-free host.  Both paths are
-    bit-identical by contract.
     """
 
     def __init__(self, connlog: ConnectionLog, archive: ProbeArchive,
@@ -440,8 +408,7 @@ class AnalysisPipeline:
                  ip2as: IpToAsDataset,
                  as_names: Mapping[int, str] | None = None,
                  as_countries: Mapping[int, str] | None = None,
-                 min_connected: float = 30 * timeutil.DAY,
-                 columnar: bool | None = None) -> None:
+                 min_connected: float = 30 * timeutil.DAY) -> None:
         self._connlog = connlog
         self._archive = archive
         self._kroot = kroot
@@ -450,52 +417,27 @@ class AnalysisPipeline:
         self._as_names = dict(as_names or {})
         self._as_countries = dict(as_countries or {})
         self._min_connected = min_connected
-        self._columnar = (HAVE_NUMPY if columnar is None
-                          else columnar and HAVE_NUMPY)
 
     def run(self) -> AnalysisResults:
         """Execute all stages serially and return the results object."""
-        if self._columnar:
-            col = ColumnarConnlog.from_connlog(self._connlog)
-            filter_report = stage_filter_col(
-                col, self._connlog, self._archive, self._ip2as,
-                min_connected=self._min_connected)
-            spans_by_probe, durations_by_probe = stage_spans_col(
-                col, self._connlog, filter_report)
-            changes_by_probe, asn_by_probe = stage_changes(filter_report)
-            day_counts, firmware_days, filtered_reboots = stage_reboots_col(
-                ColumnarUptime.from_uptime(self._uptime))
-            gap_events_by_probe = stage_gaps_col(
-                col, self._kroot, filter_report, filtered_reboots)
-        else:
-            filter_report = stage_filter(self._connlog, self._archive,
-                                         self._ip2as,
-                                         min_connected=self._min_connected)
-            spans_by_probe, durations_by_probe = stage_spans(filter_report)
-            changes_by_probe, asn_by_probe = stage_changes(filter_report)
-            day_counts, firmware_days, filtered_reboots = stage_reboots(
-                self._uptime)
-            gap_events_by_probe = stage_gaps(filter_report, self._kroot,
-                                             filtered_reboots)
-        stats_by_probe = stage_stats(gap_events_by_probe)
-        v3_probes = stage_v3(asn_by_probe, self._archive)
-
-        return AnalysisResults(
-            filter_report=filter_report,
-            archive=self._archive,
-            ip2as=self._ip2as,
-            as_names=self._as_names,
-            as_countries=self._as_countries,
-            spans_by_probe=spans_by_probe,
-            durations_by_probe=durations_by_probe,
-            changes_by_probe=changes_by_probe,
-            asn_by_probe=asn_by_probe,
-            gap_events_by_probe=gap_events_by_probe,
-            stats_by_probe=stats_by_probe,
-            reboot_day_counts=day_counts,
-            firmware_days=firmware_days,
-            _v3_probes=v3_probes,
-        )
+        col = ColumnarConnlog.from_connlog(self._connlog)
+        out: dict[str, object] = {"archive": self._archive,
+                                  "ip2as": self._ip2as}
+        report = out["filter_report"] = stage_filter(
+            col, self._connlog, self._archive, self._ip2as,
+            self._min_connected)
+        out["spans_by_probe"], out["durations_by_probe"] = stage_spans(
+            col, self._connlog, report)
+        out["changes_by_probe"], out["asn_by_probe"] = stage_changes(report)
+        (out["reboot_day_counts"], out["firmware_days"],
+         filtered_reboots) = stage_reboots(
+            ColumnarUptime.from_uptime(self._uptime))
+        out["gap_events_by_probe"] = stage_gaps(
+            col, self._kroot, report, filtered_reboots)
+        out["stats_by_probe"] = stage_stats(out["gap_events_by_probe"])
+        out["v3_probes"] = stage_v3(out["asn_by_probe"], self._archive)
+        return AnalysisResults.from_artifacts(out, self._as_names,
+                                              self._as_countries)
 
 
 def pipeline_for_world(world,

@@ -18,9 +18,9 @@ statically:
 
 The sanctioned set is derived, not hard-coded: it is the union of the
 module-level names the initializer functions write (for
-``repro.runtime.workers.init_worker`` that is ``_context``, ``_filter``
-and ``_verdicts``).  Memoization caches like ``_verdicts`` pass exactly
-because the initializer clears them.
+``repro.runtime.workers.init_worker`` that is ``_context``,
+``_heartbeat_pid`` and the columnar views ``_colconn``/``_colup``).
+Memoization caches pass exactly when the initializer resets them.
 """
 
 from __future__ import annotations

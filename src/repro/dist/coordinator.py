@@ -99,14 +99,15 @@ class DistConfig:
         """The executor config a :class:`DistRunner` runs under.
 
         ``jobs`` must exceed 1 for the executor to take the sharded
-        path at all; ``supervise`` is off because the lease server *is*
-        the supervisor on this path.
+        path at all.  The lease server is the supervisor on this path:
+        :class:`DistRunner` overrides the one seam that would reach the
+        pool.
         """
         return RuntimeConfig(
             jobs=max(2, self.workers), shards=self.shards,
             cache_dir=self.cache_dir,
             max_cache_bytes=self.max_cache_bytes,
-            supervise=False, resume=self.resume,
+            resume=self.resume,
             max_retries=self.max_retries,
             shard_deadline_s=self.lease_deadline_s,
             backoff_base_s=self.backoff_base_s)

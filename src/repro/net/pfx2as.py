@@ -15,13 +15,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, TextIO
 
+import numpy as np
+
 from repro.errors import DatasetError, ParseError
 from repro.net.ipv4 import IPv4Address, IPv4Prefix
 from repro.util import timeutil
-from repro.util.colpack import HAVE_NUMPY
-
-if HAVE_NUMPY:
-    import numpy as np
 from repro.util.ingest import (
     IngestReport,
     ReadPolicy,
@@ -130,8 +128,7 @@ class Pfx2AsSnapshot:
 
         ``asns[bisect_right(bounds, addr) - 1]`` equals
         :meth:`origin_asn` for every address (:data:`UNROUTED` for
-        None); the vectorized kernels batch exactly this with
-        ``numpy.searchsorted``.
+        None).
         """
         bounds, _, asns = self._stab()
         return bounds, asns
@@ -180,19 +177,17 @@ class Pfx2AsSnapshot:
         return self._table
 
     def stab_arrays(self):
-        """:meth:`stab_table` as a pair of int64 numpy arrays.
+        """The stab table as int64 numpy arrays ``(bounds, ids, asns)``.
 
-        The vectorized kernels call this per batch, so the conversion is
-        memoized next to the table itself and invalidated by the same
-        :meth:`add` — a mutated snapshot can never serve stale arrays.
+        Batched lookups (:meth:`IpToAsDataset.prefix_ids`,
+        :meth:`IpToAsDataset.origin_asns`) ``searchsorted`` these, so the
+        conversion is memoized next to the table itself and invalidated
+        by the same :meth:`add` — a mutated snapshot can never serve
+        stale arrays.
         """
-        if not HAVE_NUMPY:
-            raise RuntimeError("stab_arrays requires numpy; gate callers "
-                               "on repro.util.colpack.HAVE_NUMPY")
         if self._stab_arrays is None:
-            bounds, asns = self.stab_table()
-            self._stab_arrays = (np.asarray(bounds, dtype=np.int64),
-                                 np.asarray(asns, dtype=np.int64))
+            self._stab_arrays = tuple(np.asarray(column, dtype=np.int64)
+                                 for column in self._stab())
         return self._stab_arrays
 
     def write(self, stream: TextIO) -> None:
@@ -322,29 +317,46 @@ class IpToAsDataset:
         """Batched :meth:`bgp_prefix` over parallel address values/times.
 
         Returns each address's covering :func:`prefix_id` in the month
-        of its time, :data:`UNROUTED` standing in for None.  Lookups are
-        grouped by calendar month and every month resolves its snapshot
-        through :meth:`snapshot_for` once, at its first lookup, so
-        fallback and missing-month :class:`DatasetError` semantics (and
-        which month fails first) are exactly the per-call ones.
+        of its time, :data:`UNROUTED` standing in for None, as native
+        ints.
         """
-        if not values:
-            return []
-        first = timeutil.month_of(min(times))
-        last = timeutil.month_of(max(times))
-        keys = [first]
+        return self._stab_batch(values, times, 1).tolist()
+
+    def origin_asns(self, values: Sequence[int], times: Sequence[float]):
+        """Batched :meth:`origin_asn` over parallel address values/times.
+
+        Returns an int64 array, :data:`UNROUTED` standing in for None.
+        """
+        return self._stab_batch(values, times, 2)
+
+    def _stab_batch(self, values: Sequence[int], times: Sequence[float],
+                    column: int):
+        """One stab-table column (1 = prefix ids, 2 = ASNs) per lookup.
+
+        Lookups are grouped by calendar month.  Every month resolves its
+        snapshot through :meth:`snapshot_for` once, in the order of its
+        first lookup, so fallback and missing-month :class:`DatasetError`
+        semantics (and which month fails first) are exactly the
+        per-call ones.
+        """
+        out = np.empty(len(values), dtype=np.int64)
+        if not len(values):
+            return out
+        addrs = np.asarray(values, dtype=np.int64)
+        when = np.asarray(times, dtype=np.float64)
+        last = timeutil.month_of(float(when.max()))
+        keys = [timeutil.month_of(float(when.min()))]
         while keys[-1] < last:
             year, month = keys[-1]
             keys.append((year + 1, 1) if month == 12 else (year, month + 1))
         starts = [timeutil.epoch(year, month, 1) for year, month in keys]
-        tables: list[tuple[list[int], list[int]] | None] = [None] * len(keys)
-        out: list[int] = []
-        for value, when in zip(values, times):
-            group = bisect_right(starts, when) - 1
-            table = tables[group]
-            if table is None:
-                table = tables[group] = self.snapshot_for(
-                    starts[group]).prefix_table()
-            bounds, ids = table
-            out.append(ids[bisect_right(bounds, value) - 1])
+        group = np.searchsorted(np.asarray(starts, dtype=np.float64), when,
+                                side="right") - 1
+        _, firsts = np.unique(group, return_index=True)
+        firsts.sort()  # months in the order of their first lookup
+        for index in group[firsts].tolist():
+            mask = group == index
+            table = self.snapshot_for(starts[index]).stab_arrays()
+            out[mask] = table[column][np.searchsorted(
+                table[0], addrs[mask], side="right") - 1]
         return out

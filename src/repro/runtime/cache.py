@@ -175,9 +175,9 @@ class ArtifactCache:
             return self._heal(path, stage, key)
         try:
             value = self._resolve_sidecars(key, value)
-        except (colpack.ColpackError, OSError, RuntimeError):
-            # Truncated/missing sidecar, or a numpy-free process reading
-            # a columnar entry: the whole entry behaves like a miss.
+        except (colpack.ColpackError, OSError):
+            # A truncated or missing sidecar: the whole entry behaves
+            # like a miss.
             return self._heal(path, stage, key)
         os.utime(path)  # refresh LRU access time
         self.stats.hits += 1
@@ -206,7 +206,7 @@ class ArtifactCache:
         """
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        if colpack.HAVE_NUMPY and isinstance(value, dict):
+        if isinstance(value, dict):
             slim = None
             for name, item in value.items():
                 if colpack.schema_of(item) is not None:

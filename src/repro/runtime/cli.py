@@ -68,14 +68,6 @@ def add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
                         help="per-shard wall-clock deadline before the "
                              "supervisor declares it hung "
                              "(default %(default)s)")
-    parser.add_argument("--no-supervise", action="store_true",
-                        help="use the legacy unsupervised pool (no "
-                             "crash/hang recovery, no checkpoints)")
-    parser.add_argument("--legacy-kernels", action="store_true",
-                        help="run the record-at-a-time stage kernels "
-                             "instead of the vectorized columnar ones "
-                             "(the differential-testing oracle; results "
-                             "are bit-identical either way)")
 
 
 def resolve_jobs(jobs: int) -> int:
@@ -146,14 +138,12 @@ def runtime_config(args: argparse.Namespace) -> RuntimeConfig:
     return RuntimeConfig(
         jobs=jobs, shards=args.shards, cache_dir=cache_dir,
         start_method=getattr(args, "start_method", None),
-        supervise=not getattr(args, "no_supervise", False),
         max_retries=getattr(args, "max_retries",
                             timeutil.MAX_SHARD_RETRIES),
         shard_deadline_s=getattr(args, "shard_deadline",
                                  timeutil.SHARD_DEADLINE_S),
         resume=getattr(args, "resume", False),
-        fault_plan=fault_plan,
-        columnar=not getattr(args, "legacy_kernels", False))
+        fault_plan=fault_plan)
 
 
 def write_run_trace(path: str, runner, digest: str) -> None:

@@ -6,7 +6,8 @@ fingerprint, stage name, code version and parameters — never on ``jobs``,
 because outputs are guaranteed identical across job counts); on a miss it
 either runs the stage function inline or, for per-probe stages with
 ``jobs > 1``, partitions the probe ids into deterministic shards and fans
-them out over a :class:`~concurrent.futures.ProcessPoolExecutor`.
+them out over the worker pool of a
+:class:`~repro.runtime.supervisor.ShardSupervisor`.
 
 Equivalence guarantee: shards are contiguous chunks of the sorted probe
 ids, shard results are merged in shard order, and every kernel is a pure
@@ -21,13 +22,11 @@ import multiprocessing
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
 from repro import obs
-from repro.atlas.columnar import ColumnarConnlog, ColumnarUptime
 from repro.core import colartifact
 from repro.core.colartifact import (
     ColumnarFilterArtifact,
@@ -35,18 +34,12 @@ from repro.core.colartifact import (
     ColumnarGapEventMap,
     ColumnarSpanMap,
 )
+from repro.core.filtering import report_from_verdicts
 from repro.core.pipeline import (
     AnalysisResults,
     aggregate_reboots,
-    stage_filter_col,
-    stage_gaps_col,
-    stage_reboots_col,
-    stage_spans_col,
-)
-from repro.core.filtering import (
-    FilterReport,
-    report_from_verdicts,
-    restore_entries,
+    gap_items,
+    split_spans,
 )
 from repro.runtime import workers
 from repro.runtime.cache import DEFAULT_MAX_BYTES, ArtifactCache, code_version
@@ -56,8 +49,7 @@ from repro.runtime.supervisor import (
     StageResilience,
     SupervisionPolicy,
 )
-from repro.runtime.stages import STAGES, StageSpec, topological_order
-from repro.util import colpack
+from repro.runtime.stages import DERIVED_SOURCES, StageSpec, topological_order
 from repro.util import fingerprint as fp
 from repro.util import timeutil
 from repro.util.ordering import ordered_merge
@@ -101,10 +93,6 @@ class RuntimeConfig:
     #: Pool start method: ``"fork"``, ``"spawn"`` or ``None`` for
     #: platform auto-detection (:func:`resolve_start_method`).
     start_method: str | None = None
-    #: Run fan-out stages under the fault-tolerant
-    #: :class:`~repro.runtime.supervisor.ShardSupervisor` (crash/hang
-    #: recovery, retries, checkpoints).  Off = legacy ``pool.map``.
-    supervise: bool = True
     #: Failed attempts per shard before its probes are quarantined.
     max_retries: int = timeutil.MAX_SHARD_RETRIES
     #: Per-shard wall-clock deadline before the shard counts as hung.
@@ -117,14 +105,8 @@ class RuntimeConfig:
     resume: bool = False
     #: Process-fault plan (``fault_at(stage, shard, attempt)`` duck
     #: type, e.g. :class:`repro.faults.process.ProcessFaultPlan`),
-    #: installed into supervised workers.  ``None`` = no injection.
+    #: installed into the pool workers.  ``None`` = no injection.
     fault_plan: object | None = None
-    #: Vectorized columnar kernels and columnar cache artifacts
-    #: (DESIGN.md §16).  Auto-disabled on numpy-free hosts; ``False``
-    #: (``repro-run --legacy-kernels``) forces the record kernels — the
-    #: differential-testing oracle.  Outputs are bit-identical either
-    #: way.
-    columnar: bool = True
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
@@ -143,9 +125,6 @@ class RuntimeConfig:
         if self.backoff_base_s < 0:
             raise ValueError("backoff_base_s must be >= 0, got %r"
                              % (self.backoff_base_s,))
-        if self.fault_plan is not None and not self.supervise:
-            raise ValueError("fault_plan requires supervise=True: the "
-                             "legacy pool has no recovery path")
 
     def policy(self) -> SupervisionPolicy:
         """The supervision knobs as a :class:`SupervisionPolicy`."""
@@ -183,7 +162,7 @@ class RunReport:
     cpu_count: int = 0
     oversubscribed: bool = False
     start_method: str | None = None
-    #: Per-stage supervision accounts (supervised fan-out stages only).
+    #: Per-stage supervision accounts (sharded fan-out stages only).
     resilience: list[StageResilience] = field(default_factory=list)
 
     @property
@@ -270,6 +249,27 @@ class RunReport:
         return lines
 
 
+#: Stage outputs the cache stores in columnar form (DESIGN.md §16.4),
+#: by artifact name; :func:`colartifact.decode_value` revives them.
+COLUMNAR_FORMS = {
+    "filter_report": ColumnarFilterArtifact.from_report,
+    "spans_by_probe": ColumnarSpanMap.from_map,
+    "durations_by_probe": ColumnarFloatMap.from_map,
+    "gap_events_by_probe": ColumnarGapEventMap.from_map,
+}
+
+
+class _Artifacts(dict):
+    """A run's artifacts by name; derived sources are built on first use."""
+
+    def __missing__(self, name: str) -> object:
+        if name not in DERIVED_SOURCES:
+            raise KeyError(name)
+        source, build = DERIVED_SOURCES[name]
+        value = self[name] = build(self[source])
+        return value
+
+
 class ShardedRunner:
     """Runs the analysis stage graph over one set of datasets."""
 
@@ -296,13 +296,9 @@ class ShardedRunner:
                 self.config.cache_dir,
                 max_bytes=self.config.max_cache_bytes)
         self.report = self._new_report()
-        self._pool: ProcessPoolExecutor | None = None
         self._supervisor: ShardSupervisor | None = None
         self._version = ""
         self._params = ""
-        self._use_columnar = self.config.columnar and colpack.HAVE_NUMPY
-        self._colconn: ColumnarConnlog | None = None
-        self._colup: ColumnarUptime | None = None
 
     def _new_report(self) -> RunReport:
         cpus = os.cpu_count() or 1
@@ -315,14 +311,14 @@ class ShardedRunner:
 
     def run(self) -> AnalysisResults:
         """Execute every stage (cache-skipping) and assemble the results."""
-        artifacts: dict[str, object] = {
+        artifacts = _Artifacts({
             "connlog": self._connlog,
             "archive": self._archive,
             "ip2as": self._ip2as,
             "uptime": self._uptime,
             "kroot": self._kroot,
             "min_connected": self._min_connected,
-        }
+        })
         self.report = self._new_report()
         params = fp.combine("min_connected", repr(self._min_connected))
         version = code_version()
@@ -342,15 +338,12 @@ class ShardedRunner:
                         spec.name, time.perf_counter() - started, cached,
                         sharded))
         finally:
-            if self._pool is not None:
-                self._pool.shutdown()
-                self._pool = None
-                workers.reset_worker()
             if self._supervisor is not None:
                 self._supervisor.shutdown()
                 self._supervisor = None
         self._record_metrics()
-        return self._assemble(artifacts)
+        return AnalysisResults.from_artifacts(artifacts, self._as_names,
+                                              self._as_countries)
 
     def _record_metrics(self) -> None:
         """Lift this run's execution facts into the metrics registry.
@@ -383,15 +376,8 @@ class ShardedRunner:
             if hit:
                 return self._revive(value), True, False
         sharded = self.config.jobs > 1 and spec.fan_out
-        if not sharded and not self._use_columnar \
-                and spec.name in ("spans", "gaps"):
-            # Only the legacy record kernels read verdict entries; the
-            # columnar kernels work off the array views directly.
-            self._ensure_full_filter_report(artifacts)
         if sharded:
             outputs = self._compute_sharded(spec, artifacts)
-        elif self._use_columnar and spec.fan_out:
-            outputs = self._compute_columnar(spec, artifacts)
         else:
             result = spec.func(*(artifacts[name] for name in spec.inputs))
             values = result if len(spec.outputs) > 1 else (result,)
@@ -403,158 +389,29 @@ class ShardedRunner:
             # encode the degradation: storing either would silently
             # poison every later warm run.  One degraded stage therefore
             # stops artifact caching for the rest of the run.
-            self.cache.store(key, self._cacheable(spec, outputs))
+            self.cache.store(key, self._cacheable(outputs))
         return outputs, False, sharded
 
-    def _columnar_connlog(self) -> ColumnarConnlog:
-        """The connlog's array view, built once per runner."""
-        if self._colconn is None:
-            self._colconn = ColumnarConnlog.from_connlog(self._connlog)
-        return self._colconn
-
-    def _columnar_uptime(self) -> ColumnarUptime:
-        if self._colup is None:
-            self._colup = ColumnarUptime.from_uptime(self._uptime)
-        return self._colup
-
-    def _compute_columnar(self, spec: StageSpec, artifacts: dict) -> dict:
-        """Run one hot stage through the vectorized kernels, inline."""
-        if spec.name == "filter":
-            return {"filter_report": stage_filter_col(
-                self._columnar_connlog(), self._connlog, self._archive,
-                self._ip2as, self._min_connected)}
-        if spec.name == "spans":
-            spans_by_probe, durations_by_probe = stage_spans_col(
-                self._columnar_connlog(), self._connlog,
-                artifacts["filter_report"])
-            return {"spans_by_probe": spans_by_probe,
-                    "durations_by_probe": durations_by_probe}
-        if spec.name == "reboots":
-            day_counts, firmware_days, filtered = stage_reboots_col(
-                self._columnar_uptime())
-            return {"reboot_day_counts": day_counts,
-                    "firmware_days": firmware_days,
-                    "filtered_reboots": filtered}
-        if spec.name == "gaps":
-            return {"gap_events_by_probe": stage_gaps_col(
-                self._columnar_connlog(), self._kroot,
-                artifacts["filter_report"],
-                artifacts["filtered_reboots"])}
-        raise ValueError("stage %r has no columnar kernel" % (spec.name,))
-
-    def _cacheable(self, spec: StageSpec, outputs: dict) -> dict:
+    @staticmethod
+    def _cacheable(outputs: dict) -> dict:
         """What actually goes to disk for one stage's outputs.
 
-        The filter report's per-probe connlog entries are a pure
-        intermediate — several times larger than every derived result
-        combined, and only consumed by later *compute* paths (which
-        re-derive them from the raw datasets anyway when sharded).
-        Stripping them keeps warm-cache loads fast; the serial compute
-        path restores them on demand via
-        :meth:`_ensure_full_filter_report`.  In columnar mode the fat
-        object-graph artifacts (filter report, span/duration and
-        gap-event maps) are stored in their columnar forms — the cache
+        The fat object-graph artifacts (filter report, span/duration and
+        gap-event maps) are stored in their columnar forms: the cache
         writes each to a memory-mappable ``.col`` sidecar instead of a
-        pickle graph.
+        pickle graph.  The filter report's per-probe connlog entries are
+        dropped on the way — a pure intermediate several times larger
+        than every derived result combined, which no later stage reads.
         """
-        if spec.name == "filter":
-            report: FilterReport = outputs["filter_report"]
-            if self._use_columnar:
-                return {"filter_report":
-                        ColumnarFilterArtifact.from_report(report)}
-            slim = FilterReport(
-                verdicts={pid: replace(verdict, entries=[])
-                          for pid, verdict in report.verdicts.items()},
-                total=report.total)
-            slim.entries_stripped = True  # type: ignore[attr-defined]
-            return {"filter_report": slim}
-        if spec.name == "spans" and self._use_columnar:
-            return {"spans_by_probe":
-                    ColumnarSpanMap.from_map(outputs["spans_by_probe"]),
-                    "durations_by_probe":
-                    ColumnarFloatMap.from_map(outputs["durations_by_probe"])}
-        if spec.name == "gaps" and self._use_columnar:
-            return {"gap_events_by_probe": ColumnarGapEventMap.from_map(
-                outputs["gap_events_by_probe"])}
-        return outputs
+        return {name: COLUMNAR_FORMS[name](value)
+                if name in COLUMNAR_FORMS else value
+                for name, value in outputs.items()}
 
     @staticmethod
-    def _revive(outputs: object) -> object:
-        """Decode columnar cache artifacts back into stage outputs.
-
-        Decoding is by value type, not by the runner's own kernel mode:
-        a legacy-kernel run can warm from a columnar-mode cache and vice
-        versa (stage keys don't encode the mode — the kernels are
-        digest-identical).
-        """
-        if isinstance(outputs, dict):
-            revived = None
-            for name, item in outputs.items():
-                decoded = colartifact.decode_value(item)
-                if decoded is not item:
-                    if revived is None:
-                        revived = dict(outputs)
-                    revived[name] = decoded
-            if revived is not None:
-                return revived
-        return outputs
-
-    def _ensure_full_filter_report(self, artifacts: dict) -> None:
-        """Restore verdict entries when a cached slim report is about
-        to feed a serial per-probe record kernel that needs them.
-
-        Only reachable on a *partial* cache hit (filter cached, a later
-        stage evicted or corrupted): all stage keys share the same
-        fingerprint/version/params, so a normal warm run hits every
-        stage and never lands here.  Entries are a pure function of the
-        connection log, so :func:`restore_entries` rebuilds the fat
-        report without re-running classification.
-        """
-        report = artifacts.get("filter_report")
-        if report is not None and getattr(report, "entries_stripped",
-                                          False):
-            restore_entries(report, self._connlog)
-
-    def _start_pool(self) -> None:
-        """Create the worker pool under the resolved start method."""
-        context = workers.WorkerContext(
-            connlog=self._connlog, archive=self._archive,
-            ip2as=self._ip2as, kroot=self._kroot, uptime=self._uptime,
-            min_connected=self._min_connected,
-            columnar=self._use_columnar)
-        mp_context = multiprocessing.get_context(self.start_method)
-        if self.start_method == "fork":
-            # Install the context parent-side: forked workers inherit
-            # it for free instead of unpickling it once per process.
-            workers.init_worker(context)
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.config.jobs, mp_context=mp_context)
-        else:
-            # Under spawn the initializer ships the context exactly once
-            # per worker process, never per task.
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.config.jobs, mp_context=mp_context,
-                initializer=workers.init_worker, initargs=(context,))
-
-    def _map_shards(self, task, shards: list) -> list:
-        """Run one task per shard on the pool, payloads in shard order.
-
-        Spans and metrics the workers shipped with their results are
-        absorbed here, tagged with the shard index, in shard order —
-        the merge is deterministic even though worker timing is not.
-        This is the legacy unsupervised path: a seal failure here is
-        fatal (there is no retry machinery), which is exactly the
-        behavior ``supervise=False`` opts into.
-        """
-        if self._pool is None:
-            self._start_pool()
-        payloads = []
-        for index, result in enumerate(self._pool.map(task, shards)):
-            obs.absorb_spans(span.with_attrs(shard=index)
-                             for span in result.spans)
-            obs.metrics().absorb(result.metrics)
-            payloads.append(result.open_payload())
-        return payloads
+    def _revive(outputs: dict) -> dict:
+        """Decode columnar cache artifacts back into stage outputs."""
+        return {name: colartifact.decode_value(value)
+                for name, value in outputs.items()}
 
     def _ensure_supervisor(self) -> ShardSupervisor:
         """The run's fault-tolerant dispatcher, created on first fan-out."""
@@ -563,8 +420,7 @@ class ShardedRunner:
                 connlog=self._connlog, archive=self._archive,
                 ip2as=self._ip2as, kroot=self._kroot, uptime=self._uptime,
                 min_connected=self._min_connected,
-                fault_plan=self.config.fault_plan,
-                columnar=self._use_columnar)
+                fault_plan=self.config.fault_plan)
             self._supervisor = ShardSupervisor(
                 context, jobs=self.config.jobs,
                 start_method=self.start_method,
@@ -577,26 +433,18 @@ class ShardedRunner:
                         probe_of=lambda item: item) -> list:
         """Shard payloads for one fan-out stage, in shard order.
 
-        Supervised runs go through :class:`ShardSupervisor` (recovery,
-        checkpoints, quarantine — abandoned shards are dropped from the
-        merge and accounted in the report); unsupervised runs keep the
-        legacy ``pool.map`` fast path.
+        Runs go through :class:`ShardSupervisor` (recovery, checkpoints,
+        quarantine — abandoned shards are dropped from the merge and
+        accounted in the report).
         """
-        if self.config.supervise:
-            # A stage downstream of a degraded one runs on inputs that
-            # are missing quarantined work: taint it so the supervisor
-            # neither stores nor resumes its shard checkpoints.
-            outcome = self._ensure_supervisor().run_stage(
-                stage, stage, shards, probe_of,
-                tainted=self.report.degraded)
-            self.report.resilience.append(outcome.resilience)
-            return [payload for payload in outcome.payloads
-                    if payload is not None]
-        task = {"filter": workers.shard_filter,
-                "spans": workers.shard_spans,
-                "reboots": workers.shard_reboots,
-                "gaps": workers.shard_gaps}[stage]
-        return self._map_shards(task, shards)
+        # A stage downstream of a degraded one runs on inputs that are
+        # missing quarantined work: taint it so the supervisor neither
+        # stores nor resumes its shard checkpoints.
+        outcome = self._ensure_supervisor().run_stage(
+            stage, stage, shards, probe_of, tainted=self.report.degraded)
+        self.report.resilience.append(outcome.resilience)
+        return [payload for payload in outcome.payloads
+                if payload is not None]
 
     def _shards_of(self, probe_ids: list) -> list[list]:
         return partition(probe_ids, shard_count(
@@ -618,16 +466,10 @@ class ShardedRunner:
             return {"filter_report": report_from_verdicts(verdicts)}
 
         if spec.name == "spans":
-            filter_report = artifacts["filter_report"]
-            shards = self._shards_of(filter_report.analyzable_geo())
-            merged = ordered_merge(
-                *self._stage_payloads("spans", shards))
-            spans_by_probe: dict = {}
-            durations_by_probe: dict = {}
-            for probe_id, (spans, durations) in merged.items():
-                spans_by_probe[probe_id] = spans
-                if durations:
-                    durations_by_probe[probe_id] = durations
+            shards = self._shards_of(
+                artifacts["filter_report"].analyzable_geo())
+            spans_by_probe, durations_by_probe = split_spans(ordered_merge(
+                *self._stage_payloads("spans", shards)))
             return {"spans_by_probe": spans_by_probe,
                     "durations_by_probe": durations_by_probe}
 
@@ -641,39 +483,15 @@ class ShardedRunner:
                     "filtered_reboots": filtered}
 
         if spec.name == "gaps":
-            filter_report = artifacts["filter_report"]
-            filtered = artifacts["filtered_reboots"]
-            eligible = [pid for pid in filter_report.analyzable_as()
-                        if self._kroot.has_probe(pid)]
-            items = [(pid, filtered.get(pid, [])) for pid in eligible]
-            shards = self._shards_of(items)
+            shards = self._shards_of(gap_items(
+                artifacts["filter_report"], self._kroot,
+                artifacts["filtered_reboots"]))
             gap_events = ordered_merge(
                 *self._stage_payloads("gaps", shards,
                                       probe_of=lambda item: item[0]))
             return {"gap_events_by_probe": gap_events}
 
         raise ValueError("stage %r is not fan-out capable" % (spec.name,))
-
-    # -- assembly -----------------------------------------------------------
-
-    def _assemble(self, artifacts: dict) -> AnalysisResults:
-        return AnalysisResults(
-            filter_report=artifacts["filter_report"],
-            archive=self._archive,
-            ip2as=self._ip2as,
-            as_names=self._as_names,
-            as_countries=self._as_countries,
-            spans_by_probe=artifacts["spans_by_probe"],
-            durations_by_probe=artifacts["durations_by_probe"],
-            changes_by_probe=artifacts["changes_by_probe"],
-            asn_by_probe=artifacts["asn_by_probe"],
-            gap_events_by_probe=artifacts["gap_events_by_probe"],
-            stats_by_probe=artifacts["stats_by_probe"],
-            reboot_day_counts=artifacts["reboot_day_counts"],
-            firmware_days=artifacts["firmware_days"],
-            _v3_probes=artifacts["v3_probes"],
-        )
-
 
 def world_fingerprint(config) -> str:
     """Content fingerprint of an inline-simulated world.

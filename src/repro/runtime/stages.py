@@ -19,12 +19,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.atlas.columnar import ColumnarConnlog, ColumnarUptime
 from repro.core import pipeline as _pipeline
 
-#: Artifacts that exist before any stage runs: the loaded datasets.
+#: Source artifacts derived from another source: the columnar views the
+#: hot stages read, ``name -> (source, builder)``.  The executor builds
+#: each on first use, so a run whose hot stages all hit the cache (or
+#: run in pool workers) never builds them.
+DERIVED_SOURCES: dict[str, tuple[str, Callable]] = {
+    "colconn": ("connlog", ColumnarConnlog.from_connlog),
+    "colup": ("uptime", ColumnarUptime.from_uptime),
+}
+
+#: Artifacts that exist before any stage runs: the loaded datasets and
+#: their columnar views.
 SOURCE_ARTIFACTS = frozenset({
     "connlog", "archive", "ip2as", "uptime", "kroot",
-})
+}) | frozenset(DERIVED_SOURCES)
 
 #: Scalar knobs that parameterize stages (part of every cache key).
 PARAMETERS = frozenset({"min_connected"})
@@ -57,14 +68,14 @@ class StageSpec:
 STAGES: tuple[StageSpec, ...] = (
     StageSpec(
         name="filter",
-        inputs=("connlog", "archive", "ip2as", "min_connected"),
+        inputs=("colconn", "connlog", "archive", "ip2as", "min_connected"),
         outputs=("filter_report",),
         fan_out=True,
         func=_pipeline.stage_filter,
     ),
     StageSpec(
         name="spans",
-        inputs=("filter_report",),
+        inputs=("colconn", "connlog", "filter_report"),
         outputs=("spans_by_probe", "durations_by_probe"),
         fan_out=True,
         func=_pipeline.stage_spans,
@@ -82,14 +93,14 @@ STAGES: tuple[StageSpec, ...] = (
     ),
     StageSpec(
         name="reboots",
-        inputs=("uptime",),
+        inputs=("colup",),
         outputs=("reboot_day_counts", "firmware_days", "filtered_reboots"),
         fan_out=True,
         func=_pipeline.stage_reboots,
     ),
     StageSpec(
         name="gaps",
-        inputs=("filter_report", "kroot", "filtered_reboots"),
+        inputs=("colconn", "kroot", "filter_report", "filtered_reboots"),
         outputs=("gap_events_by_probe",),
         fan_out=True,
         func=_pipeline.stage_gaps,

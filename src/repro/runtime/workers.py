@@ -1,18 +1,16 @@
 """Process-pool worker side of the sharded executor.
 
 Each worker process receives the full dataset context once (via the pool
-initializer) and then serves shard tasks that are nothing but probe-id
-lists, keeping per-task pickling traffic tiny.  Workers memoize the
-per-probe filter verdicts they compute, so later stages (spans, gaps)
-re-use classification work done for earlier shards that landed on the
-same process, and recompute it deterministically when they did not —
-either way the result is the pure function of the datasets that the
-serial path computes.
+initializer), builds the columnar views of it, and then serves shard
+tasks that are nothing but probe-id lists, keeping per-task pickling
+traffic tiny.  Every task runs the same columnar kernels the serial path
+runs, over its shard of probes, so each payload is exactly the slice of
+the serial result it stands for.
 
 Results cross the process boundary inside a *sealed* :class:`ShardResult`
 envelope: the payload is pickled worker-side and stamped with its content
-fingerprint, so the supervisor (and the legacy ``pool.map`` path) can
-detect a corrupted envelope before a bad payload reaches the merge, and
+fingerprint, so the supervisor (or the dist coordinator) can detect a
+corrupted envelope before a bad payload reaches the merge, and
 retry the shard instead of poisoning the run.  Workers also register a
 heartbeat file on their first task — the supervisor uses the registry
 both as a liveness signal and as the pid list to ``SIGKILL`` when it must
@@ -47,11 +45,7 @@ from repro.atlas.connlog import ConnectionLog
 from repro.atlas.kroot import KRootDataset
 from repro.atlas.sosuptime import UptimeDataset
 from repro.core import colkernels
-from repro.core.association import GapEvent
-from repro.core.filtering import ProbeFilter, ProbeVerdict
-from repro.core.pipeline import probe_gap_events, probe_spans
-from repro.util.colpack import HAVE_NUMPY
-from repro.core.reboots import Reboot, detect_reboots
+from repro.core.reboots import Reboot
 from repro.errors import EnvelopeCorruptError
 from repro.net.pfx2as import IpToAsDataset
 from repro.util import fingerprint as fp
@@ -73,8 +67,7 @@ class WorkerContext:
     ``heartbeat_dir`` and ``fault_plan`` are supervision extras: the
     directory the worker registers its liveness file in, and an inert
     process-fault plan (``fault_at(stage, shard_index, attempt)`` duck
-    type) consulted once per shard task.  Both default off so the legacy
-    unsupervised pool path ships the same context it always did.
+    type) consulted once per shard task.  Both default off.
     """
 
     __wire_contract__ = "worker-context"
@@ -87,10 +80,15 @@ class WorkerContext:
     min_connected: float
     heartbeat_dir: str | None = None
     fault_plan: object | None = None
-    #: Serve shard tasks through the vectorized columnar kernels
-    #: (DESIGN.md §16).  Ignored on numpy-free hosts; payloads are
-    #: bit-identical either way, so mixed fleets stay coherent.
-    columnar: bool = False
+    #: Always true: workers serve every shard through the columnar
+    #: kernels.  Kept only so existing callers that pass it still work;
+    #: ``False`` is rejected.
+    columnar: bool = True
+
+    def __post_init__(self) -> None:
+        if not self.columnar:
+            raise ValueError("workers always run the columnar kernels; "
+                             "columnar=False is not supported")
 
 
 @dataclass(frozen=True)
@@ -164,8 +162,6 @@ class ShardResult:
 
 
 _context: WorkerContext | None = None
-_filter: ProbeFilter | None = None
-_verdicts: dict[int, ProbeVerdict] = {}
 _heartbeat_pid: int | None = None
 _colconn: ColumnarConnlog | None = None
 _colup: ColumnarUptime | None = None
@@ -182,19 +178,13 @@ def init_worker(context: WorkerContext) -> None:
     started parent-side would not survive the fork, so workers register
     lazily on their first task instead.)
     """
-    global _context, _filter, _heartbeat_pid, _colconn, _colup
+    global _context, _heartbeat_pid, _colconn, _colup
     _context = context
-    _filter = ProbeFilter(context.connlog, context.archive, context.ip2as,
-                          min_connected=context.min_connected)
-    _verdicts.clear()
     # Build the columnar views eagerly: under fork this runs in the
     # parent, so every worker inherits the arrays by page sharing
     # instead of rebuilding them per process.
-    _colconn = None
-    _colup = None
-    if context.columnar and HAVE_NUMPY:
-        _colconn = ColumnarConnlog.from_connlog(context.connlog)
-        _colup = ColumnarUptime.from_uptime(context.uptime)
+    _colconn = ColumnarConnlog.from_connlog(context.connlog)
+    _colup = ColumnarUptime.from_uptime(context.uptime)
     # Heartbeat registration state is initializer-owned like the rest of
     # the per-process globals; actual registration happens lazily on the
     # first task (a thread started here would not survive fork).
@@ -203,31 +193,19 @@ def init_worker(context: WorkerContext) -> None:
 
 def reset_worker() -> None:
     """Drop the installed context (parent-side cleanup after a run)."""
-    global _context, _filter, _heartbeat_pid, _colconn, _colup
+    global _context, _heartbeat_pid, _colconn, _colup
     _context = None
-    _filter = None
     _heartbeat_pid = None
     _colconn = None
     _colup = None
-    _verdicts.clear()
 
 
 def _require_context() -> WorkerContext:
-    if _context is None or _filter is None:
+    if _context is None:
         raise RuntimeError(
             "worker context not initialized; shard tasks must run in a "
             "pool created with initializer=init_worker")
     return _context
-
-
-def _verdict(probe_id: int) -> ProbeVerdict:
-    """Memoized per-probe classification (pure, so memoization is safe)."""
-    _require_context()
-    verdict = _verdicts.get(probe_id)
-    if verdict is None:
-        verdict = _filter.classify(probe_id)
-        _verdicts[probe_id] = verdict
-    return verdict
 
 
 # -- heartbeats --------------------------------------------------------------
@@ -311,50 +289,28 @@ def _inject_envelope(envelope: ShardResult, stage: str, shard_index: int,
 
 # -- shard kernels (payload = exactly what the serial path computes) ---------
 
-def _columnar_active() -> bool:
-    """Whether this process serves shards via the columnar kernels."""
-    return _colconn is not None
-
-
 def _filter_payload(probe_ids: list[int]) -> dict:
     context = _require_context()
-    if _columnar_active():
-        # Slim verdicts (no entry lists) cross the process boundary;
-        # consumers restore entries from the connlog when they need
-        # them (repro.core.filtering.restore_entries).
-        return colkernels.classify_probes(
-            _colconn, context.connlog, context.archive, context.ip2as,
-            context.min_connected, probe_ids, with_entries=False)
-    return {probe_id: _verdict(probe_id) for probe_id in probe_ids}
+    # Slim verdicts (no entry lists) cross the process boundary: no
+    # stage downstream of the filter reads them.
+    return colkernels.classify_probes(
+        _colconn, context.connlog, context.archive, context.ip2as,
+        context.min_connected, probe_ids, with_entries=False)
 
 
 def _spans_payload(probe_ids: list[int]) -> dict:
     context = _require_context()
-    if _columnar_active():
-        return colkernels.probe_spans_col(_colconn, context.connlog,
-                                          probe_ids)
-    return {probe_id: probe_spans(_verdict(probe_id).entries)
-            for probe_id in probe_ids}
+    return colkernels.probe_spans_col(_colconn, context.connlog, probe_ids)
 
 
 def _reboots_payload(probe_ids: list[int]) -> dict:
-    context = _require_context()
-    if _columnar_active():
-        return colkernels.detect_reboots_col(_colup, probe_ids)
-    return {probe_id: detect_reboots(context.uptime.records(probe_id))
-            for probe_id in probe_ids}
+    _require_context()
+    return colkernels.detect_reboots_col(_colup, probe_ids)
 
 
 def _gaps_payload(items: list[tuple[int, list[Reboot]]]) -> dict:
     context = _require_context()
-    if _columnar_active():
-        return colkernels.gap_events_col(_colconn, context.kroot, items)
-    return {
-        probe_id: probe_gap_events(_verdict(probe_id).entries,
-                                   context.kroot.series(probe_id),
-                                   reboots)
-        for probe_id, reboots in items
-    }
+    return colkernels.gap_events_col(_colconn, context.kroot, items)
 
 
 #: Task registry: the supervisor dispatches shards by stage name, so the
@@ -381,30 +337,3 @@ def run_shard(task_name: str, shard: list, shard_index: int = 0,
     obs.count("runtime.worker.tasks")
     envelope = ShardResult.sealed(payload, shard_index, attempt)
     return _inject_envelope(envelope, task_name, shard_index, attempt)
-
-
-# -- legacy per-stage entry points (unsupervised ``pool.map`` path) ----------
-
-def shard_filter(probe_ids: list[int]) -> ShardResult:
-    """Stage ``filter``: classify one shard of probes."""
-    return run_shard("filter", probe_ids)
-
-
-def shard_spans(probe_ids: list[int]) -> ShardResult:
-    """Stage ``spans``: spans and known durations for one shard."""
-    return run_shard("spans", probe_ids)
-
-
-def shard_reboots(probe_ids: list[int]) -> ShardResult:
-    """Stage ``reboots`` (detection half): raw reboots for one shard."""
-    return run_shard("reboots", probe_ids)
-
-
-def shard_gaps(items: list[tuple[int, list[Reboot]]]) -> ShardResult:
-    """Stage ``gaps``: classify one shard's connection gaps.
-
-    ``items`` carries each probe's firmware-filtered reboots (computed
-    globally by the parent after the reboot barrier); entries and k-root
-    series come from the worker context.
-    """
-    return run_shard("gaps", items)

@@ -9,21 +9,15 @@ round-trip both views register for.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.atlas.columnar import ColumnarConnlog, ColumnarUptime
 from repro.atlas.connlog import ConnectionLog
 from repro.atlas.sosuptime import UptimeDataset
 from repro.atlas.types import ConnectionLogEntry, UptimeRecord
 from repro.net.ipv4 import IPv4Address
 from repro.util import colpack
-
-pytestmark = pytest.mark.skipif(not colpack.HAVE_NUMPY,
-                                reason="columnar views require numpy")
-
-if colpack.HAVE_NUMPY:
-    import numpy as np
-
-    from repro.atlas.columnar import ColumnarConnlog, ColumnarUptime
 
 
 def v4(probe, start, end, text):

@@ -1,11 +1,11 @@
-"""Differential tests: vectorized columnar kernels vs the record oracle.
+"""Differential tests: the production stage functions vs the record oracle.
 
-Every hot-stage kernel in :mod:`repro.core.colkernels` is pinned
-bit-identical to its legacy record-path twin (``--legacy-kernels``) over
-a seeded simulated world — same verdicts in the same dict order, same
-spans, reboots and gap events.  A randomized property pins the flattened
-pfx2as stab table (what the kernels batch ``searchsorted`` over) to the
-trie's longest-prefix lookup, address by address.
+Every hot stage of :mod:`repro.core.pipeline` (columnar kernels from
+:mod:`repro.core.colkernels`) is pinned bit-identical to its record-path
+twin in :mod:`tests.record_oracle` over a seeded simulated world — same
+verdicts in the same dict order, same spans, reboots and gap events.  A
+randomized property pins the flattened pfx2as stab table (what batched
+lookups ``searchsorted`` over) to the per-address lookup.
 """
 
 from __future__ import annotations
@@ -15,17 +15,13 @@ from bisect import bisect_right
 
 import pytest
 
+from repro.atlas.columnar import ColumnarConnlog, ColumnarUptime
 from repro.core import pipeline
 from repro.experiments.scenarios import small_world
 from repro.net.ipv4 import IPv4Address, IPv4Prefix
 from repro.net.pfx2as import UNROUTED, AsMapping, Pfx2AsSnapshot
-from repro.util import colpack, timeutil
-
-pytestmark = pytest.mark.skipif(not colpack.HAVE_NUMPY,
-                                reason="columnar kernels require numpy")
-
-if colpack.HAVE_NUMPY:
-    from repro.atlas.columnar import ColumnarConnlog, ColumnarUptime
+from repro.util import timeutil
+from tests import record_oracle as oracle
 
 MIN_CONNECTED = 4 * timeutil.DAY
 
@@ -42,15 +38,14 @@ def col(world):
 
 @pytest.fixture(scope="module")
 def legacy_report(world):
-    return pipeline.stage_filter(world.connlog, world.archive, world.ip2as,
-                                 min_connected=MIN_CONNECTED)
+    return oracle.stage_filter(world.connlog, world.archive, world.ip2as,
+                               min_connected=MIN_CONNECTED)
 
 
 @pytest.fixture(scope="module")
 def columnar_report(world, col):
-    return pipeline.stage_filter_col(col, world.connlog, world.archive,
-                                     world.ip2as,
-                                     min_connected=MIN_CONNECTED)
+    return pipeline.stage_filter(col, world.connlog, world.archive,
+                                 world.ip2as, min_connected=MIN_CONNECTED)
 
 
 class TestFilterDifferential:
@@ -83,12 +78,11 @@ class TestFilterDifferential:
     def test_slim_form_restores_entries_exactly(self, world, col,
                                                 legacy_report):
         from repro.core.colkernels import classify_probes
-        from repro.core.filtering import report_from_verdicts, restore_entries
+        from repro.core.filtering import report_from_verdicts
         slim = report_from_verdicts(classify_probes(
             col, world.connlog, world.archive, world.ip2as, MIN_CONNECTED,
             with_entries=False))
-        slim.entries_stripped = True
-        restore_entries(slim, world.connlog)
+        oracle.restore_entries(slim, world.connlog)
         for pid, legacy in legacy_report.verdicts.items():
             assert slim.verdicts[pid].entries == legacy.entries, pid
 
@@ -96,26 +90,25 @@ class TestFilterDifferential:
 class TestStageDifferentials:
     def test_spans_identical(self, world, col, legacy_report,
                              columnar_report):
-        legacy = pipeline.stage_spans(legacy_report)
-        columnar = pipeline.stage_spans_col(col, world.connlog,
-                                            columnar_report)
+        legacy = oracle.stage_spans(legacy_report)
+        columnar = pipeline.stage_spans(col, world.connlog, columnar_report)
         assert columnar == legacy
         assert [list(columnar[0]), list(columnar[1])] == \
                [list(legacy[0]), list(legacy[1])]
 
     def test_reboots_identical(self, world):
-        legacy = pipeline.stage_reboots(world.uptime)
-        columnar = pipeline.stage_reboots_col(
+        legacy = oracle.stage_reboots(world.uptime)
+        columnar = pipeline.stage_reboots(
             ColumnarUptime.from_uptime(world.uptime))
         assert columnar == legacy
 
     def test_gaps_identical(self, world, col, legacy_report,
                             columnar_report):
-        *_, legacy_filtered = pipeline.stage_reboots(world.uptime)
-        legacy = pipeline.stage_gaps(legacy_report, world.kroot,
-                                     legacy_filtered)
-        columnar = pipeline.stage_gaps_col(col, world.kroot,
-                                           columnar_report, legacy_filtered)
+        *_, legacy_filtered = oracle.stage_reboots(world.uptime)
+        legacy = oracle.stage_gaps(legacy_report, world.kroot,
+                                   legacy_filtered)
+        columnar = pipeline.stage_gaps(col, world.kroot, columnar_report,
+                                       legacy_filtered)
         assert columnar == legacy
         assert list(columnar) == list(legacy)
 
@@ -145,9 +138,9 @@ class TestWindowEdgeChange:
             ConnectionLogEntry(1, end + 60.0, end + 3600.0,
                                IPv4Address(base + 2)),
         ])
-        legacy = pipeline.stage_filter(connlog, ProbeArchive(), ip2as,
-                                       min_connected=timeutil.DAY)
-        columnar = pipeline.stage_filter_col(
+        legacy = oracle.stage_filter(connlog, ProbeArchive(), ip2as,
+                                     min_connected=timeutil.DAY)
+        columnar = pipeline.stage_filter(
             ColumnarConnlog.from_connlog(connlog), connlog, ProbeArchive(),
             ip2as, min_connected=timeutil.DAY)
         verdict = legacy.verdicts[1]
@@ -193,14 +186,15 @@ class TestStabTable:
     def test_arrays_mirror_table_and_invalidate_on_add(self):
         rng = random.Random(99)
         snapshot = random_snapshot(rng, prefixes=30)
-        bounds_arr, asns_arr = snapshot.stab_arrays()
+        bounds_arr, ids_arr, asns_arr = snapshot.stab_arrays()
         bounds, asns = snapshot.stab_table()
         assert bounds_arr.tolist() == bounds
+        assert ids_arr.tolist() == snapshot.prefix_table()[1]
         assert asns_arr.tolist() == asns
         assert snapshot.stab_arrays() is snapshot.stab_arrays()  # memoized
 
         snapshot.add(AsMapping(IPv4Prefix(0, 8), 64512))
-        fresh_bounds, fresh_asns = snapshot.stab_arrays()
+        fresh_bounds, _, fresh_asns = snapshot.stab_arrays()
         assert fresh_asns[0].item() == 64512
         fresh_table = snapshot.stab_table()
         assert fresh_bounds.tolist() == fresh_table[0]

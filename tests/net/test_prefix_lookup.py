@@ -92,6 +92,23 @@ def test_batched_lookup_matches_trie(mappings, seed):
 
 @settings(max_examples=150, deadline=None)
 @given(mapping_lists(), st.integers(0, 2 ** 32))
+def test_batched_asn_lookup_matches_trie(mappings, seed):
+    snapshot = Pfx2AsSnapshot(mappings)
+    trie = oracle(mappings)
+    dataset = IpToAsDataset()
+    dataset.add_snapshot(2015, 3, snapshot)
+    values = probe_values(random.Random(seed), mappings)
+    when = timeutil.epoch(2015, 3, 9)
+    got = dataset.origin_asns(values, [when] * len(values)).tolist()
+    for value, asn in zip(values, got):
+        match = trie.lookup(IPv4Address(value))
+        assert asn == (UNROUTED if match is None else match.asn), value
+        assert dataset.origin_asn(IPv4Address(value), when) == (
+            None if asn == UNROUTED else asn)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mapping_lists(), st.integers(0, 2 ** 32))
 def test_stab_asns_unchanged(mappings, seed):
     snapshot = Pfx2AsSnapshot(mappings)
     trie = oracle(mappings)
@@ -169,6 +186,19 @@ def test_missing_month_raises_like_per_call():
         dataset.prefix_ids([value] * 3, times)
     assert str(batched.value) == str(per_call.value) == (
         "no pfx2as snapshot for 2015-05")
+
+
+def test_batched_asns_share_month_resolution_order():
+    dataset, _ = months_dataset(fallback=False)
+    value = IPv4Address.parse("10.0.5.5").value
+    times = [timeutil.epoch(2015, 3, 2), timeutil.epoch(2015, 5, 2),
+             timeutil.epoch(2015, 4, 2)]
+    with pytest.raises(DatasetError, match="2015-05"):
+        dataset.origin_asns([value] * 3, times)
+    fallback, _ = months_dataset(fallback=True)
+    got = fallback.origin_asns([value] * 3, times).tolist()
+    assert got == [fallback.origin_asn(IPv4Address(value), when)
+                   for when in times]
 
 
 def test_months_without_lookups_are_never_resolved():

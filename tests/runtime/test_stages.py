@@ -50,7 +50,7 @@ def test_duplicate_output_rejected():
 
 def test_stage_by_name():
     assert stage_by_name("gaps").inputs == (
-        "filter_report", "kroot", "filtered_reboots")
+        "colconn", "kroot", "filter_report", "filtered_reboots")
     with pytest.raises(KeyError, match="unknown stage"):
         stage_by_name("nope")
 

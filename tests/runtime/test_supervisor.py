@@ -319,12 +319,6 @@ def test_policy_rejects_bad_knobs(kwargs):
         SupervisionPolicy(**kwargs)
 
 
-def test_runtime_config_rejects_fault_plan_without_supervision():
-    with pytest.raises(ValueError):
-        RuntimeConfig(jobs=2, supervise=False,
-                      fault_plan=ProcessFaultPlan(seed=1))
-
-
 def test_partition_digest_pins_the_cut():
     shards = [[1, 2], [3, 4], [5]]
     assert partition_digest("filter", shards) == partition_digest(
