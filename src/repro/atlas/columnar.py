@@ -1,9 +1,13 @@
-"""Columnar (structure-of-arrays) views of the hot Atlas datasets.
+"""Columnar (structure-of-arrays) form of the hot Atlas datasets.
 
-The per-record dataclass containers (:class:`~repro.atlas.connlog
-.ConnectionLog`, :class:`~repro.atlas.sosuptime.UptimeDataset`) are the
-source of truth; these classes are derived, array-backed *views* the
-vectorized stage kernels (:mod:`repro.core.colkernels`) operate on.
+A :class:`~repro.atlas.connlog.ConnectionLog` or
+:class:`~repro.atlas.sosuptime.UptimeDataset` read from text *is* these
+columns: the readers parse straight into them (with the helpers at the
+end of this module) and build record objects only when asked.  Only
+containers filled record by record (the simulator's) derive their
+columns, once, via :meth:`ColumnarConnlog.from_connlog` /
+:meth:`ColumnarUptime.from_uptime`.  The vectorized stage kernels
+(:mod:`repro.core.colkernels`) read nothing else.
 Layout is CSR-style: one row per probe in sorted-id order, with
 ``offsets[i]:offsets[i+1]`` slicing the flat per-entry columns.
 
@@ -13,17 +17,21 @@ Invariants (DESIGN.md §16):
   with ``offsets[0] == 0`` and ``offsets[-1] == len(starts)``;
 * within a probe's slice, entries keep the container's time order;
 * ``addrs[k]`` is the IPv4 address as a host-order ``uint32`` and is 0
-  where ``v6[k]`` is set — IPv6 payloads (textual addresses) stay in
-  the record containers, the kernels only need the *flag*.
+  where ``v6[k]`` is set — IPv6 payloads (textual addresses) stay with
+  the container, the kernels only need the *flag*.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import re
+from itertools import compress
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
+from repro.errors import ParseError
 from repro.util import colpack
+from repro.util.ingest import IngestReport, ReadPolicy, format_line_error
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.atlas.connlog import ConnectionLog
@@ -182,3 +190,114 @@ class ColumnarUptime(_ProbeIndexed):
                    offsets=columns["offsets"],
                    timestamps=columns["timestamps"],
                    uptimes=columns["uptimes"])
+
+
+# -- bulk ingest ---------------------------------------------------------------
+#
+# Shared by the connlog and uptime readers (DESIGN.md §19): admit the lines
+# that match a dataset's exact writer grammar in bulk, and assemble rows
+# into CSR columns.  Every other line stays with the reader's per-line
+# parser, the only source of diagnostics.
+
+
+def admit_lines(lines: list[str], grammar: re.Pattern, width: int
+                ) -> tuple[np.ndarray, list[list[str]]]:
+    """Indexes of the lines ``grammar`` matches exactly, and their fields.
+
+    The fields come back as ``width`` lists of text, one entry per
+    admitted line, in line order.  ``grammar`` must admit only lines of
+    exactly ``width`` tab-separated fields.
+    """
+    admitted = list(map(bool, map(grammar.fullmatch, lines)))
+    indexes = np.flatnonzero(np.asarray(admitted, dtype=bool))
+    if not len(indexes):
+        return indexes, [[] for _ in range(width)]
+    fields = "\t".join(compress(lines, admitted)).split("\t")
+    return indexes, [fields[k::width] for k in range(width)]
+
+
+def parse_rejected(lines: list[str], admitted: np.ndarray,
+                   parse: Callable[[str], object], policy: ReadPolicy,
+                   report: IngestReport, dataset: str,
+                   source: str) -> Iterator[tuple[int, object]]:
+    """``(line number, record)`` per record line not in ``admitted``.
+
+    The per-line path, in line order: blank and ``#`` lines are
+    skipped, the rest stripped and handed to ``parse``.  A
+    :class:`ParseError` raises with its location under ``STRICT`` and
+    is quarantined under ``REPAIR``.
+    """
+    mask = np.ones(len(lines), dtype=bool)
+    mask[admitted] = False
+    for index in np.flatnonzero(mask).tolist():
+        text = lines[index].strip()
+        if not text or text.startswith("#"):
+            continue
+        try:
+            record = parse(text)
+        except ParseError as error:
+            if policy is ReadPolicy.STRICT:
+                raise ParseError(
+                    format_line_error(source, index + 1, error)) from None
+            report.quarantined(dataset, source, index + 1, str(error))
+            continue
+        yield index + 1, record
+
+
+def probe_offsets(probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(probe_ids, offsets)`` of a probe column grouped by probe."""
+    if not len(probes):
+        return np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    cuts = np.flatnonzero(probes[1:] != probes[:-1]) + 1
+    offsets = np.concatenate(([0], cuts, [len(probes)])).astype(np.int64)
+    return probes[offsets[:-1]], offsets
+
+
+def strict_order(lines: np.ndarray, probes: np.ndarray,
+                 current: np.ndarray, previous: np.ndarray
+                 ) -> tuple[np.ndarray, int | None]:
+    """STRICT placement: rows grouped by probe in line order, and the
+    misplaced row on the earliest line (``None`` when there is none).
+
+    A row is misplaced when its ``current`` value is below the
+    ``previous`` value of the row before it in its probe — exactly the
+    rows a record-by-record ``add`` would refuse.
+    """
+    order = np.lexsort((lines, probes))
+    grouped = probes[order]
+    misplaced = np.flatnonzero((grouped[1:] == grouped[:-1])
+                               & (current[order][1:]
+                                  < previous[order][:-1])) + 1
+    if not len(misplaced):
+        return order, None
+    rows = order[misplaced]
+    return order, int(rows[np.argmin(lines[rows])])
+
+
+def repair_order(lines: np.ndarray, probes: np.ndarray,
+                 keys: Sequence[np.ndarray]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Row orders for REPAIR assembly: ``(grouped, ordered)``.
+
+    ``grouped`` groups rows by ascending probe, in line order within a
+    probe; ``ordered`` sorts each group by ``keys`` the way Python's
+    stable ``sorted(rows, key=lambda r: (keys...))`` does.  A NaN
+    compares false both ways, where numpy sorts it last, so groups
+    holding one are re-sorted by Python itself.
+    """
+    grouped = np.lexsort((lines, probes))
+    ordered = np.lexsort((lines,) + tuple(reversed(keys)) + (probes,))
+    nan = np.zeros(len(lines), dtype=bool)
+    for key in keys:
+        nan |= np.isnan(key)
+    if nan.any():
+        _, offsets = probe_offsets(probes[grouped])
+        values = [key.tolist() for key in keys]
+        blocks = np.unique(np.searchsorted(
+            offsets, np.flatnonzero(nan[grouped]), side="right") - 1)
+        for block in blocks.tolist():
+            lo, hi = int(offsets[block]), int(offsets[block + 1])
+            ordered[lo:hi] = sorted(
+                grouped[lo:hi].tolist(),
+                key=lambda row: tuple(value[row] for value in values))
+    return grouped, ordered

@@ -48,7 +48,7 @@ from repro.core.filtering import (
     ProbeVerdict,
 )
 from repro.core.reboots import Reboot
-from repro.net.ipv4 import TESTING_ADDRESS
+from repro.net.ipv4 import TESTING_ADDRESS, IPv4Address
 from repro.net.pfx2as import UNROUTED, IpToAsDataset
 
 _TESTING_VALUE = TESTING_ADDRESS.value
@@ -70,6 +70,18 @@ def _strip_offset(col: ColumnarConnlog, lo: int, hi: int) -> int:
 
 # -- stage ``filter`` ---------------------------------------------------------
 
+def _address(memo: dict[int, IPv4Address], value: int) -> IPv4Address:
+    """``value`` as an address, one shared object per value in ``memo``.
+
+    Each kernel call brings its own memo: kernels run concurrently on
+    one bundle, so they share no state.
+    """
+    found = memo.get(value)
+    if found is None:
+        found = memo[value] = IPv4Address(value)
+    return found
+
+
 def classify_probes(col: ColumnarConnlog, connlog, archive,
                     ip2as: IpToAsDataset, min_connected: float,
                     probe_ids: Sequence[int] | None = None,
@@ -77,8 +89,10 @@ def classify_probes(col: ColumnarConnlog, connlog, archive,
     """Columnar :meth:`~repro.core.filtering.ProbeFilter.classify` over
     many probes, in the same precedence order.
 
-    ``with_entries=False`` leaves ``verdict.entries`` empty (the slim
-    IPC/cache form).
+    Verdicts are computed from the columns alone.  ``with_entries=False``
+    leaves ``verdict.entries`` empty (the slim IPC/cache form) and never
+    touches ``connlog``, so it builds no record objects; otherwise the
+    entries come from ``connlog.entries``.
     """
     if probe_ids is None:
         pids = col.probe_ids.tolist()
@@ -88,8 +102,9 @@ def classify_probes(col: ColumnarConnlog, connlog, archive,
     run_starts = col.run_starts()
     v6_cumsum = np.concatenate((np.zeros(1, dtype=np.int64),
                                 np.cumsum(col.v6, dtype=np.int64)))
+    addresses: dict[int, IPv4Address] = {}
     verdicts: dict[int, ProbeVerdict] = {}
-    pending: list[tuple[int, list, list]] = []
+    pending: list[tuple[int, int, list, list]] = []
     lookup_addrs: list[int] = []
     lookup_times: list[float] = []
     for pid in pids:
@@ -115,30 +130,32 @@ def classify_probes(col: ColumnarConnlog, connlog, archive,
                 verdicts[pid] = ProbeVerdict(pid, ProbeCategory.MULTIHOMED)
                 continue
         slo = _strip_offset(col, lo, hi)
-        entries = connlog.entries(pid)
-        if slo > lo:
-            entries = entries[1:]
+        entries = []
+        if with_entries:
+            entries = connlog.entries(pid)
+            if slo > lo:
+                entries = entries[1:]
         change_at = (np.nonzero(run_starts[slo + 1:hi])[0] + 1).tolist()
         if not change_at:
             category = (ProbeCategory.TESTING_ONLY if slo > lo
                         else ProbeCategory.NEVER_CHANGED)
-            verdicts[pid] = ProbeVerdict(
-                pid, category, entries=entries if with_entries else [])
+            verdicts[pid] = ProbeVerdict(pid, category, entries=entries)
             continue
+        addrs = col.addrs[slo:hi].tolist()
+        starts = col.starts[slo:hi].tolist()
+        ends = col.ends[slo:hi].tolist()
         changes: list[AddressChange] = []
         for at in change_at:
-            previous = entries[at - 1]
-            current = entries[at]
-            changes.append(AddressChange(pid, previous.address,
-                                         current.address, previous.end,
-                                         current.start))
-            lookup_addrs.append(previous.address.value)
-            lookup_times.append(current.start)
-            lookup_addrs.append(current.address.value)
-            lookup_times.append(current.start)
+            changes.append(AddressChange(
+                pid, _address(addresses, addrs[at - 1]),
+                _address(addresses, addrs[at]), ends[at - 1], starts[at]))
+            lookup_addrs.append(addrs[at - 1])
+            lookup_times.append(starts[at])
+            lookup_addrs.append(addrs[at])
+            lookup_times.append(starts[at])
         # Placeholder keeps dict order; the AS split fills it in below.
         verdicts[pid] = ProbeVerdict(pid, ProbeCategory.ANALYZABLE)
-        pending.append((pid, entries, changes))
+        pending.append((pid, slo, entries, changes))
 
     if not pending:
         return verdicts
@@ -147,7 +164,7 @@ def classify_probes(col: ColumnarConnlog, connlog, archive,
     first_addrs: list[int] = []
     first_times: list[float] = []
     resolved: list[tuple[int, list, list, list, bool]] = []
-    for pid, entries, changes in pending:
+    for pid, slo, entries, changes in pending:
         span = asns[cursor:cursor + 2 * len(changes)]
         cursor += 2 * len(changes)
         old_asns = span[0::2]
@@ -160,9 +177,9 @@ def classify_probes(col: ColumnarConnlog, connlog, archive,
         resolved.append((pid, entries, changes, within, multi_as))
         if not multi_as:
             # Analyzable probes are pure IPv4 here, so the first v4
-            # entry the record kernel scans for is simply entries[0].
-            first_addrs.append(entries[0].address.value)
-            first_times.append(entries[0].start)
+            # entry the record kernel scans for is simply the first row.
+            first_addrs.append(int(col.addrs[slo]))
+            first_times.append(float(col.starts[slo]))
     first_asns = ip2as.origin_asns(first_addrs, first_times)
     first_cursor = 0
     for pid, entries, changes, within, multi_as in resolved:
@@ -172,8 +189,7 @@ def classify_probes(col: ColumnarConnlog, connlog, archive,
             first_cursor += 1
             asn = None if value == UNROUTED else value
         verdicts[pid] = ProbeVerdict(
-            pid, ProbeCategory.ANALYZABLE,
-            entries=entries if with_entries else [],
+            pid, ProbeCategory.ANALYZABLE, entries=entries,
             changes=changes, within_as_changes=within,
             multi_as=multi_as, asn=asn)
     return verdicts
@@ -181,8 +197,7 @@ def classify_probes(col: ColumnarConnlog, connlog, archive,
 
 # -- stage ``spans`` ----------------------------------------------------------
 
-def probe_spans_col(col: ColumnarConnlog, connlog,
-                    probe_ids: Sequence[int]
+def probe_spans_col(col: ColumnarConnlog, probe_ids: Sequence[int]
                     ) -> dict[int, tuple[list[AddressSpan], list[float]]]:
     """Spans and known durations per probe (:func:`~repro.core.changes
     .extract_spans` and :func:`~repro.core.changes.known_durations`).
@@ -192,8 +207,7 @@ def probe_spans_col(col: ColumnarConnlog, connlog,
     unknown boundary, interior spans are the known durations.
     """
     run_starts = col.run_starts()
-    starts = col.starts.tolist()
-    ends = col.ends.tolist()
+    addresses: dict[int, IPv4Address] = {}
     out: dict[int, tuple[list[AddressSpan], list[float]]] = {}
     for pid in probe_ids:
         pid = int(pid)
@@ -202,16 +216,18 @@ def probe_spans_col(col: ColumnarConnlog, connlog,
         if slo >= hi:
             out[pid] = ([], [])
             continue
-        entries = connlog.entries(pid)
-        heads = [slo] + (np.nonzero(run_starts[slo + 1:hi])[0]
-                         + (slo + 1)).tolist()
+        addrs = col.addrs[slo:hi].tolist()
+        starts = col.starts[slo:hi].tolist()
+        ends = col.ends[slo:hi].tolist()
+        heads = [0] + (np.nonzero(run_starts[slo + 1:hi])[0] + 1).tolist()
         last = len(heads) - 1
         spans: list[AddressSpan] = []
         for position, head in enumerate(heads):
-            tail = (heads[position + 1] if position < last else hi) - 1
+            tail = (heads[position + 1] if position < last
+                    else hi - slo) - 1
             spans.append(AddressSpan(
                 probe_id=pid,
-                address=entries[head - lo].address,
+                address=_address(addresses, addrs[head]),
                 start=starts[head],
                 end=ends[tail],
                 complete_start=position > 0,

@@ -281,13 +281,12 @@ def stage_filter(col: ColumnarConnlog, connlog: ConnectionLog,
         col, connlog, archive, ip2as, min_connected))
 
 
-def stage_spans(col: ColumnarConnlog, connlog: ConnectionLog,
-                filter_report: FilterReport
+def stage_spans(col: ColumnarConnlog, filter_report: FilterReport
                 ) -> tuple[dict[int, list[AddressSpan]],
                            dict[int, list[float]]]:
     """Stage ``spans``: address spans/durations per geography probe."""
     return split_spans(colkernels.probe_spans_col(
-        col, connlog, filter_report.analyzable_geo()))
+        col, filter_report.analyzable_geo()))
 
 
 def split_spans(payload: Mapping[int, tuple[list[AddressSpan], list[float]]]
@@ -420,18 +419,17 @@ class AnalysisPipeline:
 
     def run(self) -> AnalysisResults:
         """Execute all stages serially and return the results object."""
-        col = ColumnarConnlog.from_connlog(self._connlog)
+        col = self._connlog.columnar()
         out: dict[str, object] = {"archive": self._archive,
                                   "ip2as": self._ip2as}
         report = out["filter_report"] = stage_filter(
             col, self._connlog, self._archive, self._ip2as,
             self._min_connected)
         out["spans_by_probe"], out["durations_by_probe"] = stage_spans(
-            col, self._connlog, report)
+            col, report)
         out["changes_by_probe"], out["asn_by_probe"] = stage_changes(report)
         (out["reboot_day_counts"], out["firmware_days"],
-         filtered_reboots) = stage_reboots(
-            ColumnarUptime.from_uptime(self._uptime))
+         filtered_reboots) = stage_reboots(self._uptime.columnar())
         out["gap_events_by_probe"] = stage_gaps(
             col, self._kroot, report, filtered_reboots)
         out["stats_by_probe"] = stage_stats(out["gap_events_by_probe"])

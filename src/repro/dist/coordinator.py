@@ -160,6 +160,10 @@ class LeaseServer:
         self.host = config.host
         self.port = int(self._listener.getsockname()[1])
         self._lock = threading.RLock()
+        #: Signalled under ``_lock`` whenever what a waiter checks may
+        #: have changed: a stage opening or closing, a result, a failed
+        #: or expired lease, a disconnect, the end of the run.
+        self._changed = threading.Condition(self._lock)
         self._runner: ShardedRunner | None = None
         self._serving: _StageServing | None = None
         self._finished = False
@@ -191,6 +195,7 @@ class LeaseServer:
         """The run is over: answer every future pull with DRAIN(done)."""
         with self._lock:
             self._finished = True
+            self._changed.notify_all()
 
     def close(self) -> None:
         """Stop accepting, drop every live connection, reap the acceptor.
@@ -203,6 +208,7 @@ class LeaseServer:
         with self._lock:
             self._closed = True
             channels = list(self._channels)
+            self._changed.notify_all()
         try:
             self._listener.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -237,7 +243,8 @@ class LeaseServer:
         """Serve one fan-out stage to the connected workers.
 
         Blocks the runner thread until every shard is resolved or
-        abandoned, sweeping expired leases every ``poll_s``; connection
+        abandoned.  It wakes when a handler signals a change and at
+        least every ``poll_s`` to sweep expired leases; connection
         handlers grant leases and fold results concurrently under the
         cluster lock.
         """
@@ -269,14 +276,16 @@ class LeaseServer:
                             partition) for index in range(len(shards)))))
             with self._lock:
                 self._serving = serving
-            while True:
-                with self._lock:
-                    board.expire()
+                self._changed.notify_all()
+                while True:
+                    if board.expire():
+                        self._changed.notify_all()
                     if board.done:
-                        self._serving = None
-                        stored = serving.checkpoints_stored
                         break
-                time.sleep(self.config.poll_s)
+                    self._changed.wait(self.config.poll_s)
+                self._serving = None
+                stored = serving.checkpoints_stored
+                self._changed.notify_all()
             # The board is only safe under the cluster lock; handler
             # threads may still be draining a late RESULT, so the final
             # accounting reads hold it too.
@@ -382,6 +391,7 @@ class LeaseServer:
                         connection.worker_id)
                     if lost:
                         obs.count("dist.workers.disconnects")
+                        self._changed.notify_all()
             connection.channel.close()
 
     def _sync_bytes(self, connection: _Connection) -> None:
@@ -473,20 +483,28 @@ class LeaseServer:
             min_connected=min_connected, role="coordinator")
 
     def _on_lease_request(self, connection: _Connection) -> object:
+        """Grant a lease, waiting up to ``poll_s`` for one to come free."""
         if not connection.worker_id:
             connection.closing = True
             return protocol.Drain(done=True, reason="HELLO first")
         with self._lock:
-            if self._finished:
-                return protocol.Drain(done=True, reason="run complete")
-            serving = self._serving
-            if serving is None:
-                return protocol.Drain(done=False, reason="between stages",
-                                      retry_after_s=self.config.poll_s)
-            record = serving.board.lease(connection.worker_id)
-            if record is None:
-                return protocol.Drain(done=False, reason="no shard ready",
-                                      retry_after_s=self.config.poll_s)
+            deadline = time.monotonic() + self.config.poll_s
+            while True:
+                if self._finished:
+                    return protocol.Drain(done=True, reason="run complete")
+                serving = self._serving
+                record = (None if serving is None
+                          else serving.board.lease(connection.worker_id))
+                if record is not None:
+                    break
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return protocol.Drain(
+                        done=False,
+                        reason=("between stages" if serving is None
+                                else "no shard ready"),
+                        retry_after_s=self.config.poll_s)
+                self._changed.wait(remaining)
             state = self._workers[connection.worker_id]
             state.leases += 1
             cache_key = ""
@@ -524,9 +542,11 @@ class LeaseServer:
                 return ack
             if result.error:
                 serving.board.fail_lease(result.lease_id, result.error)
+                self._changed.notify_all()
                 return ack
             verdict = serving.board.submit(result.lease_id,
                                            result.envelope)
+            self._changed.notify_all()
             if verdict in ("resolved", "late"):
                 if state is not None and result.cache_hit:
                     state.cache_hits += 1

@@ -112,6 +112,17 @@ class CacheStats:
     miss_stages: list[str] = field(default_factory=list)
 
 
+@dataclass
+class _Group:
+    """One cache entry on disk: its pickle plus columnar sidecars."""
+
+    pickle: Path | None = None
+    mtime: float = 0.0
+    #: Bytes of every member file.
+    size: int = 0
+    members: list[Path] = field(default_factory=list)
+
+
 class ArtifactCache:
     """Disk-backed, content-addressed store for pickled stage outputs."""
 
@@ -227,36 +238,64 @@ class ArtifactCache:
 
     # -- maintenance --------------------------------------------------------
 
-    def _entries_with_stats(self) -> list[tuple[Path, os.stat_result]]:
-        """Artifact files with their stat results, oldest access first.
+    def _scan(self) -> dict[str, _Group]:
+        """One directory pass: every entry's files and bytes, by key.
 
-        Files that vanish between ``glob`` and ``stat`` (a concurrent
-        run evicting) are simply skipped; ties on ``st_mtime`` — common
-        on filesystems with coarse timestamp granularity — break on the
-        file name so the order stays deterministic.
+        Files that vanish between listing and ``stat`` (a concurrent run
+        evicting) are simply skipped.  A key whose pickle is gone keeps
+        a group with ``pickle`` unset: orphaned sidecars count toward
+        :meth:`total_bytes` but are no eviction candidate.
         """
-        found = []
-        for path in self.directory.glob("*/*.pkl"):
-            try:
-                found.append((path, path.stat()))
-            except FileNotFoundError:
-                continue
-        found.sort(key=lambda item: (item[1].st_mtime, item[0].name))
-        return found
+        groups: dict[str, _Group] = {}
+        with os.scandir(self.directory) as buckets:
+            for bucket in buckets:
+                if bucket.name.startswith(".") or not bucket.is_dir():
+                    continue
+                with os.scandir(bucket.path) as files:
+                    for entry in files:
+                        name = entry.name
+                        if name.startswith("."):
+                            continue
+                        if name.endswith(".pkl"):
+                            key = name[:-4]
+                        elif name.endswith(".col"):
+                            key = name.split(".", 1)[0]
+                        else:
+                            continue
+                        try:
+                            stat = entry.stat()
+                        except FileNotFoundError:
+                            continue
+                        group = groups.get(key)
+                        if group is None:
+                            group = groups[key] = _Group()
+                        group.size += stat.st_size
+                        group.members.append(Path(entry.path))
+                        if name.endswith(".pkl"):
+                            group.pickle = Path(entry.path)
+                            group.mtime = stat.st_mtime
+        return groups
+
+    @staticmethod
+    def _lru(groups: dict[str, _Group]) -> list[_Group]:
+        """Entries with a pickle, oldest access first.
+
+        Ties on ``st_mtime`` — common on filesystems with coarse
+        timestamp granularity — break on the file name so the order
+        stays deterministic.
+        """
+        entries = [group for group in groups.values()
+                   if group.pickle is not None]
+        entries.sort(key=lambda group: (group.mtime, group.pickle.name))
+        return entries
 
     def entries(self) -> list[Path]:
         """All artifact files, oldest access first."""
-        return [path for path, _ in self._entries_with_stats()]
+        return [group.pickle for group in self._lru(self._scan())]
 
     def total_bytes(self) -> int:
         """Bytes currently stored (pickles and columnar sidecars)."""
-        total = sum(stat.st_size for _, stat in self._entries_with_stats())
-        for path in self.directory.glob("*/*.col"):
-            try:
-                total += path.stat().st_size
-            except FileNotFoundError:
-                continue
-        return total
+        return sum(group.size for group in self._scan().values())
 
     def evict(self) -> int:
         """Drop least-recently-used artifacts until under ``max_bytes``.
@@ -265,26 +304,19 @@ class ArtifactCache:
         ``os.utime`` on every hit — so an entry a warm run just served is
         the *last* eviction candidate even though it was written first.
         An entry's sidecars count toward its size and are removed with
-        it.
+        it.  A store within budget costs one directory pass.
         """
+        groups = self._scan()
+        total = sum(group.size for group in groups.values()
+                    if group.pickle is not None)
+        if total <= self.max_bytes:
+            return 0
         removed = 0
-        groups = []
-        total = 0
-        for path, stat in self._entries_with_stats():
-            members = self._group(path)
-            size = stat.st_size
-            for member in members[1:]:
-                try:
-                    size += member.stat().st_size
-                except FileNotFoundError:
-                    continue
-            groups.append((members, size))
-            total += size
-        for members, size in groups:
+        for group in self._lru(groups):
             if total <= self.max_bytes:
                 break
-            total -= size
-            for member in members:
+            total -= group.size
+            for member in group.members:
                 member.unlink(missing_ok=True)
             removed += 1
         # Each runner owns a private cache handle: ShardedRunner touches

@@ -19,20 +19,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.atlas.columnar import ColumnarConnlog, ColumnarUptime
+from repro.atlas.connlog import ConnectionLog
+from repro.atlas.sosuptime import UptimeDataset
 from repro.core import pipeline as _pipeline
 
-#: Source artifacts derived from another source: the columnar views the
-#: hot stages read, ``name -> (source, builder)``.  The executor builds
+#: Source artifacts derived from another source: the columns the hot
+#: stages read, ``name -> (source, accessor)``.  The executor resolves
 #: each on first use, so a run whose hot stages all hit the cache (or
-#: run in pool workers) never builds them.
+#: run in pool workers) never touches them.  A bundle read from text
+#: already is its columns; a simulated world derives them once.
 DERIVED_SOURCES: dict[str, tuple[str, Callable]] = {
-    "colconn": ("connlog", ColumnarConnlog.from_connlog),
-    "colup": ("uptime", ColumnarUptime.from_uptime),
+    "colconn": ("connlog", ConnectionLog.columnar),
+    "colup": ("uptime", UptimeDataset.columnar),
 }
 
 #: Artifacts that exist before any stage runs: the loaded datasets and
-#: their columnar views.
+#: their columns.
 SOURCE_ARTIFACTS = frozenset({
     "connlog", "archive", "ip2as", "uptime", "kroot",
 }) | frozenset(DERIVED_SOURCES)
@@ -75,7 +77,7 @@ STAGES: tuple[StageSpec, ...] = (
     ),
     StageSpec(
         name="spans",
-        inputs=("colconn", "connlog", "filter_report"),
+        inputs=("colconn", "filter_report"),
         outputs=("spans_by_probe", "durations_by_probe"),
         fan_out=True,
         func=_pipeline.stage_spans,

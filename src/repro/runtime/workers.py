@@ -1,7 +1,7 @@
 """Process-pool worker side of the sharded executor.
 
 Each worker process receives the full dataset context once (via the pool
-initializer), builds the columnar views of it, and then serves shard
+initializer), resolves its columns, and then serves shard
 tasks that are nothing but probe-id lists, keeping per-task pickling
 traffic tiny.  Every task runs the same columnar kernels the serial path
 runs, over its shard of probes, so each payload is exactly the slice of
@@ -180,11 +180,12 @@ def init_worker(context: WorkerContext) -> None:
     """
     global _context, _heartbeat_pid, _colconn, _colup
     _context = context
-    # Build the columnar views eagerly: under fork this runs in the
-    # parent, so every worker inherits the arrays by page sharing
-    # instead of rebuilding them per process.
-    _colconn = ColumnarConnlog.from_connlog(context.connlog)
-    _colup = ColumnarUptime.from_uptime(context.uptime)
+    # Resolve the columns eagerly: under fork this runs in the parent,
+    # so every worker inherits the arrays by page sharing.  A loaded
+    # bundle already is its columns; the shard kernels read nothing
+    # else, so no worker builds a record object.
+    _colconn = context.connlog.columnar()
+    _colup = context.uptime.columnar()
     # Heartbeat registration state is initializer-owned like the rest of
     # the per-process globals; actual registration happens lazily on the
     # first task (a thread started here would not survive fork).
@@ -299,8 +300,8 @@ def _filter_payload(probe_ids: list[int]) -> dict:
 
 
 def _spans_payload(probe_ids: list[int]) -> dict:
-    context = _require_context()
-    return colkernels.probe_spans_col(_colconn, context.connlog, probe_ids)
+    _require_context()
+    return colkernels.probe_spans_col(_colconn, probe_ids)
 
 
 def _reboots_payload(probe_ids: list[int]) -> dict:

@@ -91,7 +91,7 @@ class TestStageDifferentials:
     def test_spans_identical(self, world, col, legacy_report,
                              columnar_report):
         legacy = oracle.stage_spans(legacy_report)
-        columnar = pipeline.stage_spans(col, world.connlog, columnar_report)
+        columnar = pipeline.stage_spans(col, columnar_report)
         assert columnar == legacy
         assert [list(columnar[0]), list(columnar[1])] == \
                [list(legacy[0]), list(legacy[1])]

@@ -7,6 +7,7 @@ Every test here drives the complete stage graph through real sockets
 
 import pickle
 import threading
+import time
 
 import pytest
 
@@ -36,6 +37,18 @@ def test_loopback_two_workers_matches_serial_digest(dist_run,
         == {"filter", "spans", "reboots", "gaps"}
     for row in runner.report.resilience:
         assert row.analyzed_items == row.total_items
+
+
+def test_coordinator_waits_on_events_not_the_poll_clock(dist_run,
+                                                       serial_digest):
+    """Stage completion and lease pulls wake on cluster events: a long
+    ``poll_s`` only bounds the lease-expiry sweep, it is never slept out
+    between stages (four fan-out stages would take 4 x 5 s)."""
+    started = time.monotonic()
+    run, _ = dist_run(config=DistConfig(workers=2, poll_s=5.0))
+    assert time.monotonic() - started < 10.0
+    assert run.worker_errors == {}
+    assert run.digest == serial_digest
 
 
 def test_worker_count_does_not_change_the_digest(dist_run,

@@ -1,7 +1,7 @@
 """Batched prefix lookups against the trie, address by address.
 
 :meth:`IpToAsDataset.prefix_ids` and the snapshot's stab table must
-agree with a :class:`~repro.net.trie.PrefixTrie` longest-prefix match
+agree with a :class:`~tests.net.trie_oracle.PrefixTrie` longest-prefix match
 built from the same mappings, for every address probed: nested
 prefixes, ``/0`` and ``/32`` prefixes, unrouted space, and sibling
 prefixes sharing an origin AS (which stay distinct prefixes).  The
@@ -28,7 +28,7 @@ from repro.net.pfx2as import (
     prefix_id,
     prefix_of_id,
 )
-from repro.net.trie import PrefixTrie
+from tests.net.trie_oracle import PrefixTrie
 from repro.util import timeutil
 
 # A few ASNs only, so nested and sibling prefixes often share one.

