@@ -438,24 +438,40 @@ class AnalysisPipeline:
                                               self._as_countries)
 
 
+def analysis_defaults(source, min_connected: float | None = None
+                      ) -> tuple[dict[int, str], dict[int, str], float]:
+    """AS names, AS countries and ``min_connected`` for one dataset source.
+
+    ``source`` is a simulated ``WorldData``, whose AS labels come from its
+    scenario's ISP specs (mirroring how the paper labels its tables), or
+    a loaded ``DatasetBundle``, which stored them in its ``meta.json`` at
+    simulation time.  ``min_connected`` defaults to the paper's 30 days,
+    capped at a tenth of the observation window so short scenarios keep
+    their probes.  Every driver that builds an analysis — the serial
+    pipeline, the sharded runner, the dist coordinator — takes its
+    defaults from here.
+    """
+    config = getattr(source, "config", None)
+    if config is None:
+        as_names, as_countries = source.as_names, source.as_countries
+        window = source.end - source.start
+    else:
+        specs = [profile.spec for profile in config.profiles]
+        as_names = {spec.asn: spec.name for spec in specs}
+        as_countries = {spec.asn: spec.country for spec in specs}
+        window = config.end - config.start
+    if min_connected is None:
+        min_connected = min(30 * timeutil.DAY, window / 10)
+    return as_names, as_countries, min_connected
+
+
 def pipeline_for_world(world,
                        min_connected: float | None = None
                        ) -> AnalysisPipeline:
-    """Convenience: build a pipeline from a simulated WorldData.
-
-    AS names and countries come from the scenario's ISP specs, mirroring
-    how the paper labels its tables.  ``min_connected`` defaults to the
-    paper's 30 days, capped at a tenth of the scenario window so short
-    test scenarios keep their probes.
-    """
-    as_names: dict[int, str] = {}
-    as_countries: dict[int, str] = {}
-    for profile in world.config.profiles:
-        as_names[profile.spec.asn] = profile.spec.name
-        as_countries[profile.spec.asn] = profile.spec.country
-    if min_connected is None:
-        window = world.config.end - world.config.start
-        min_connected = min(30 * timeutil.DAY, window / 10)
+    """Convenience: build a pipeline from a simulated WorldData, with the
+    defaults of :func:`analysis_defaults`."""
+    as_names, as_countries, min_connected = analysis_defaults(
+        world, min_connected)
     return AnalysisPipeline(world.connlog, world.archive, world.kroot,
                             world.uptime, world.ip2as,
                             as_names=as_names, as_countries=as_countries,
@@ -468,15 +484,13 @@ def pipeline_for_bundle(bundle,
     """Convenience: build a pipeline from a loaded on-disk dataset bundle.
 
     Mirror of :func:`pipeline_for_world` for the write-once, analyze-many
-    workflow (:class:`repro.sim.io.DatasetBundle`); AS names and countries
-    were stored in the bundle's ``meta.json`` at simulation time.  Lives
-    here rather than in :mod:`repro.sim.io` because constructing the
-    analysis pipeline is a core-layer concern — sim must not import core.
+    workflow (:class:`repro.sim.io.DatasetBundle`).  Lives here rather
+    than in :mod:`repro.sim.io` because constructing the analysis
+    pipeline is a core-layer concern — sim must not import core.
     """
-    if min_connected is None:
-        window = bundle.end - bundle.start
-        min_connected = min(30 * timeutil.DAY, window / 10)
+    as_names, as_countries, min_connected = analysis_defaults(
+        bundle, min_connected)
     return AnalysisPipeline(
         bundle.connlog, bundle.archive, bundle.kroot, bundle.uptime,
-        bundle.ip2as, as_names=bundle.as_names,
-        as_countries=bundle.as_countries, min_connected=min_connected)
+        bundle.ip2as, as_names=as_names, as_countries=as_countries,
+        min_connected=min_connected)

@@ -10,7 +10,8 @@ merge — and therefore the results digest — is bit-identical to
 ``repro-run --jobs 1``, including under injected worker crashes and
 network faults (:mod:`repro.faults.network`).
 
-Supervision reuses the runtime's policy wholesale: leases carry hard
+Supervision reuses the runtime's shard state machine
+(:class:`repro.runtime.board.LeaseBoard`) wholesale: leases carry hard
 deadlines, failures are charged per shard with deterministic backoff,
 lost workers get their shards reassigned, and exhausted retry budgets
 quarantine probes into the same resilience accounting ``repro-run``
@@ -23,7 +24,6 @@ Entry points: ``repro-dist coordinator`` / ``repro-dist worker``
 :func:`repro.dist.loopback.run_loopback`.
 """
 
-from repro.dist.board import LeaseBoard
 from repro.dist.coordinator import (
     DistConfig,
     DistRunner,
@@ -38,7 +38,6 @@ __all__ = [
     "DistConfig",
     "DistRunner",
     "DistWorker",
-    "LeaseBoard",
     "LeaseServer",
     "LoopbackRun",
     "WorkerSummary",

@@ -2,7 +2,7 @@
 
 :class:`LeaseServer` listens on a socket, accepts pull-based workers,
 and answers the protocol verbs (HELLO handshake, LEASE grants from the
-current stage's :class:`~repro.dist.board.LeaseBoard`, RESULT folding,
+current stage's :class:`~repro.runtime.board.LeaseBoard`, RESULT folding,
 HEARTBEAT acks, DRAIN back-offs).  One daemon thread per connection
 does blocking request/reply; every mutation of cluster state happens
 under one lock, and the board itself is swapped in and out per stage by
@@ -21,10 +21,13 @@ merges them through the same ``ordered_merge`` calls, so its
 the dist test suite pins it by measurement.
 
 Checkpoints go through the shared artifact cache under the *same* keys
-the pool supervisor uses (:func:`repro.runtime.supervisor.
-shard_checkpoint_key`), so a distributed run can resume a killed pool
-run's shards and vice versa, and workers can short-circuit compute via
-the ``cache_key`` their lease carries.
+the pool supervisor uses (:class:`repro.runtime.supervisor.
+StageCheckpoints`), so a distributed run can resume a killed pool run's
+shards and vice versa, and workers can short-circuit compute via the
+``cache_key`` their lease carries.  The shard state machine and the
+post-drain accounting are the pool supervisor's too: the same
+:class:`~repro.runtime.board.LeaseBoard` and
+:func:`~repro.runtime.supervisor.close_stage`.
 """
 
 from __future__ import annotations
@@ -37,13 +40,24 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import obs
+from repro.core.pipeline import analysis_defaults
 from repro.dist import protocol
-from repro.dist.board import LeaseBoard
 from repro.dist.transport import Channel
-from repro.runtime import supervisor, workers
+from repro.runtime.board import (
+    SUBMIT_LATE,
+    SUBMIT_RESOLVED,
+    LeaseBoard,
+    StageOutcome,
+    SupervisionPolicy,
+)
 from repro.runtime.cache import DEFAULT_MAX_BYTES, ArtifactCache, code_version
-from repro.runtime.executor import RunReport, RuntimeConfig, ShardedRunner
-from repro.runtime.supervisor import StageOutcome, SupervisionPolicy
+from repro.runtime.executor import (
+    RunReport,
+    RuntimeConfig,
+    ShardedRunner,
+    world_fingerprint,
+)
+from repro.runtime.supervisor import StageCheckpoints, close_stage
 from repro.util import timeutil
 
 
@@ -76,15 +90,7 @@ class DistConfig:
         if self.workers < 1:
             raise ValueError("workers must be >= 1, got %r"
                              % (self.workers,))
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0, got %r"
-                             % (self.max_retries,))
-        if self.lease_deadline_s <= 0:
-            raise ValueError("lease_deadline_s must be positive, got %r"
-                             % (self.lease_deadline_s,))
-        if self.backoff_base_s < 0:
-            raise ValueError("backoff_base_s must be >= 0, got %r"
-                             % (self.backoff_base_s,))
+        self.policy()  # validates the supervision knobs
         if self.poll_s <= 0:
             raise ValueError("poll_s must be positive, got %r"
                              % (self.poll_s,))
@@ -132,10 +138,7 @@ class _StageServing:
 
     board: LeaseBoard
     stage: str
-    partition: str
-    checkpointing: bool
-    version: str
-    params: str
+    checkpoints: StageCheckpoints
     checkpoints_stored: int = 0
 
 
@@ -249,31 +252,16 @@ class LeaseServer:
         cluster lock.
         """
         runner = self._runner
-        fingerprint = runner.fingerprint if runner is not None else ""
-        checkpointing = (self._cache is not None and bool(fingerprint)
-                         and not tainted)
-        partition = supervisor.partition_digest(stage, shards)
-        resolved = self._load_checkpoints(
-            stage, shards, partition, fingerprint, version, params,
-            checkpointing)
+        checkpoints = StageCheckpoints(
+            self._cache, runner.fingerprint if runner is not None else "",
+            stage, shards, version, params, tainted=tainted)
         with obs.span("dist:%s" % stage, category="dist", stage=stage,
                       shards=len(shards)) as handle:
+            resolved = checkpoints.open(self.config.resume)
             board = LeaseBoard(stage, shards, self.config.policy(),
                                resolved=resolved)
-            serving = _StageServing(
-                board=board, stage=stage, partition=partition,
-                checkpointing=checkpointing, version=version,
-                params=params)
-            if checkpointing and len(resolved) < len(shards):
-                self._cache.store(
-                    supervisor.manifest_checkpoint_key(
-                        fingerprint, stage, version, params, partition),
-                    supervisor.CheckpointManifest(
-                        stage=stage, shard_count=len(shards),
-                        partition_digest=partition,
-                        keys=tuple(supervisor.shard_checkpoint_key(
-                            fingerprint, stage, index, version, params,
-                            partition) for index in range(len(shards)))))
+            serving = _StageServing(board=board, stage=stage,
+                                    checkpoints=checkpoints)
             with self._lock:
                 self._serving = serving
                 self._changed.notify_all()
@@ -284,30 +272,13 @@ class LeaseServer:
                         break
                     self._changed.wait(self.config.poll_s)
                 self._serving = None
-                stored = serving.checkpoints_stored
                 self._changed.notify_all()
-            # The board is only safe under the cluster lock; handler
-            # threads may still be draining a late RESULT, so the final
-            # accounting reads hold it too.
-            with self._lock:
-                outcome = board.finish(probe_of,
-                                       checkpoints_loaded=len(resolved),
-                                       checkpoints_stored=stored)
-                # Absorb worker spans/metrics in shard-index order: the
-                # merged trace is deterministic whatever the wire order
-                # was.
-                for index in sorted(board.envelopes):
-                    envelope = board.envelopes[index]
-                    obs.absorb_spans(span.with_attrs(shard=index)
-                                     for span in envelope.spans)
-                    obs.metrics().absorb(envelope.metrics)
-                handle.set(leases=board.leases_granted,
-                           retries=board.retries,
-                           reassignments=board.reassignments,
-                           abandoned=len(board.abandoned),
-                           duplicates=board.duplicates, late=board.late,
-                           checkpoints_loaded=len(resolved),
-                           checkpoints_stored=stored)
+                # The board is only safe under the cluster lock; handler
+                # threads may still be draining a late RESULT, so the
+                # final accounting holds it too.
+                outcome = close_stage(board, probe_of, handle,
+                                      len(resolved),
+                                      serving.checkpoints_stored)
                 reassigned = board.reassignments
                 duplicates = board.duplicates
                 late = board.late
@@ -317,42 +288,7 @@ class LeaseServer:
                 obs.count("dist.results.duplicate", duplicates)
             if late:
                 obs.count("dist.results.late", late)
-            if len(resolved):
-                obs.count("runtime.checkpoints.loaded", len(resolved))
-            if stored:
-                obs.count("runtime.checkpoints.stored", stored)
         return outcome
-
-    def _load_checkpoints(self, stage: str, shards: list[list],
-                          partition: str, fingerprint: str, version: str,
-                          params: str,
-                          checkpointing: bool) -> dict[int, object]:
-        """Resume: verified payloads for every checkpointed shard."""
-        if not (checkpointing and self.config.resume):
-            return {}
-        hit, manifest = self._cache.load(
-            supervisor.manifest_checkpoint_key(
-                fingerprint, stage, version, params, partition),
-            stage="manifest:%s" % stage)
-        if hit:
-            supervisor.validate_manifest(manifest, stage, partition,
-                                         len(shards))
-        resolved: dict[int, object] = {}
-        for index in range(len(shards)):
-            hit, envelope = self._cache.load(
-                supervisor.shard_checkpoint_key(
-                    fingerprint, stage, index, version, params,
-                    partition),
-                stage="shard:%s" % stage)
-            if not hit or not isinstance(envelope, workers.ShardResult):
-                continue
-            try:
-                resolved[index] = envelope.open_payload()
-            except Exception:  # repro: noqa[RPR004] — a corrupt
-                # checkpoint is a cache miss, never a run abort; the
-                # shard simply gets recomputed.
-                continue
-        return resolved
 
     # -- connection handling --------------------------------------------------
 
@@ -473,14 +409,13 @@ class LeaseServer:
                     worker_id=hello.worker_id)
                 obs.count("dist.workers.seen")
             self._workers[hello.worker_id].last_seen = time.monotonic()
-        # pylint-style note: the reply carries the *coordinator's*
-        # identity so the worker can verify symmetrically.
-        min_connected = getattr(runner, "_min_connected", 0.0)
+        # The reply carries the *coordinator's* identity so the worker
+        # can verify symmetrically.
         return protocol.Hello(
             worker_id="coordinator",
             protocol_version=protocol.PROTOCOL_VERSION,
             code_version=version, fingerprint=runner.fingerprint,
-            min_connected=min_connected, role="coordinator")
+            min_connected=runner._min_connected, role="coordinator")
 
     def _on_lease_request(self, connection: _Connection) -> object:
         """Grant a lease, waiting up to ``poll_s`` for one to come free."""
@@ -508,12 +443,8 @@ class LeaseServer:
             state = self._workers[connection.worker_id]
             state.leases += 1
             cache_key = ""
-            if serving.checkpointing:
-                runner = self._runner
-                cache_key = supervisor.shard_checkpoint_key(
-                    runner.fingerprint, serving.stage,
-                    record.shard_index, serving.version, serving.params,
-                    serving.partition)
+            if serving.checkpoints.enabled:
+                cache_key = serving.checkpoints.key(record.shard_index)
             lease = protocol.Lease(
                 lease_id=record.lease_id, stage=serving.stage,
                 shard_index=record.shard_index, attempt=record.attempt,
@@ -528,7 +459,7 @@ class LeaseServer:
                    connection: _Connection) -> object:
         ack = protocol.Heartbeat(worker_id="coordinator",
                                  lease_id=result.lease_id)
-        store: tuple[str, workers.ShardResult] | None = None
+        store: StageCheckpoints | None = None
         with self._lock:
             serving = self._serving
             state = self._workers.get(connection.worker_id)
@@ -547,21 +478,16 @@ class LeaseServer:
             verdict = serving.board.submit(result.lease_id,
                                            result.envelope)
             self._changed.notify_all()
-            if verdict in ("resolved", "late"):
+            if verdict in (SUBMIT_RESOLVED, SUBMIT_LATE):
                 if state is not None and result.cache_hit:
                     state.cache_hits += 1
-                if serving.checkpointing and not result.cache_hit:
-                    runner = self._runner
-                    key = supervisor.shard_checkpoint_key(
-                        runner.fingerprint, serving.stage,
-                        result.envelope.shard_index, serving.version,
-                        serving.params, serving.partition)
-                    store = (key, result.envelope)
+                if serving.checkpoints.enabled and not result.cache_hit:
+                    store = serving.checkpoints
                     serving.checkpoints_stored += 1
         if store is not None:
             # Store outside the cluster lock: disk latency must not
             # stall lease grants for every other worker.
-            self._cache.store(store[0], store[1])
+            store.store(result.envelope)
         if result.cache_hit:
             obs.count("dist.results.cache_hits")
         return ack
@@ -599,15 +525,12 @@ def dist_runner_for_bundle(bundle, config: DistConfig,
                            ) -> DistRunner:
     """Coordinator runner over a loaded bundle (mirrors
     :func:`repro.runtime.executor.runner_for_bundle`)."""
-    if server is None:
-        server = LeaseServer(config)
-    if min_connected is None:
-        window = bundle.end - bundle.start
-        min_connected = min(30 * timeutil.DAY, window / 10)
+    as_names, as_countries, min_connected = analysis_defaults(
+        bundle, min_connected)
     return DistRunner(
-        server, bundle.connlog, bundle.archive, bundle.kroot,
-        bundle.uptime, bundle.ip2as, as_names=bundle.as_names,
-        as_countries=bundle.as_countries, min_connected=min_connected,
+        server or LeaseServer(config), bundle.connlog, bundle.archive,
+        bundle.kroot, bundle.uptime, bundle.ip2as, as_names=as_names,
+        as_countries=as_countries, min_connected=min_connected,
         fingerprint=bundle.fingerprint, config=config.runtime_config())
 
 
@@ -617,20 +540,11 @@ def dist_runner_for_world(world, config: DistConfig,
                           ) -> DistRunner:
     """Coordinator runner over an in-memory simulated world (mirrors
     :func:`repro.runtime.executor.runner_for_world`)."""
-    from repro.runtime.executor import world_fingerprint
-    if server is None:
-        server = LeaseServer(config)
-    as_names: dict[int, str] = {}
-    as_countries: dict[int, str] = {}
-    for profile in world.config.profiles:
-        as_names[profile.spec.asn] = profile.spec.name
-        as_countries[profile.spec.asn] = profile.spec.country
-    if min_connected is None:
-        window = world.config.end - world.config.start
-        min_connected = min(30 * timeutil.DAY, window / 10)
+    as_names, as_countries, min_connected = analysis_defaults(
+        world, min_connected)
     return DistRunner(
-        server, world.connlog, world.archive, world.kroot, world.uptime,
-        world.ip2as, as_names=as_names, as_countries=as_countries,
-        min_connected=min_connected,
+        server or LeaseServer(config), world.connlog, world.archive,
+        world.kroot, world.uptime, world.ip2as, as_names=as_names,
+        as_countries=as_countries, min_connected=min_connected,
         fingerprint=world_fingerprint(world.config),
         config=config.runtime_config())

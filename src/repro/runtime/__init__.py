@@ -14,16 +14,25 @@ This package exploits both properties:
 * :mod:`repro.runtime.cache` stores stage outputs content-addressed on
   the bundle fingerprint, stage name, code version and parameters, so
   warm re-runs skip every unchanged stage;
-* :mod:`repro.runtime.supervisor` wraps the fan-out in fault tolerance —
-  worker crash/hang detection, bounded retry with deterministic backoff,
-  per-shard checkpoints for ``--resume``, and quarantine-with-exact-
-  accounting when retries are exhausted (the run degrades, never dies).
+* :mod:`repro.runtime.board` is the shard state machine every fan-out
+  runs through — bounded retry with deterministic backoff, and
+  quarantine-with-exact-accounting when retries are exhausted (the run
+  degrades, never dies);
+* :mod:`repro.runtime.supervisor` drives that board over a process
+  pool — worker crash/hang detection and recovery — and keeps the
+  per-shard checkpoints for ``--resume``.
 
 ``repro-run`` (:mod:`repro.runtime.cli`) drives the graph from the shell;
 ``repro-experiment`` threads ``--jobs/--cache-dir/--no-cache`` through to
 the same executor.
 """
 
+from repro.runtime.board import (
+    LeaseBoard,
+    ShardFailure,
+    StageResilience,
+    SupervisionPolicy,
+)
 from repro.runtime.cache import ArtifactCache, CacheStats, code_version
 from repro.runtime.digest import results_digest
 from repro.runtime.executor import (
@@ -38,18 +47,13 @@ from repro.runtime.executor import (
 )
 from repro.runtime.sharding import partition, shard_count
 from repro.runtime.stages import STAGES, StageSpec, topological_order
-from repro.runtime.supervisor import (
-    CheckpointManifest,
-    ShardFailure,
-    ShardSupervisor,
-    StageResilience,
-    SupervisionPolicy,
-)
+from repro.runtime.supervisor import CheckpointManifest, ShardSupervisor
 
 __all__ = [
     "ArtifactCache",
     "CacheStats",
     "CheckpointManifest",
+    "LeaseBoard",
     "RunReport",
     "RuntimeConfig",
     "ShardFailure",

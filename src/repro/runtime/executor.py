@@ -38,18 +38,16 @@ from repro.core.filtering import report_from_verdicts
 from repro.core.pipeline import (
     AnalysisResults,
     aggregate_reboots,
+    analysis_defaults,
     gap_items,
     split_spans,
 )
 from repro.runtime import workers
+from repro.runtime.board import StageResilience, SupervisionPolicy
 from repro.runtime.cache import DEFAULT_MAX_BYTES, ArtifactCache, code_version
 from repro.runtime.sharding import partition, shard_count
-from repro.runtime.supervisor import (
-    ShardSupervisor,
-    StageResilience,
-    SupervisionPolicy,
-)
 from repro.runtime.stages import DERIVED_SOURCES, StageSpec, topological_order
+from repro.runtime.supervisor import ShardSupervisor
 from repro.util import fingerprint as fp
 from repro.util import timeutil
 from repro.util.ordering import ordered_merge
@@ -116,15 +114,7 @@ class RuntimeConfig:
         if self.start_method not in (None, "fork", "spawn"):
             raise ValueError("start_method must be 'fork', 'spawn' or "
                              "None, got %r" % (self.start_method,))
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0, got %r"
-                             % (self.max_retries,))
-        if self.shard_deadline_s <= 0:
-            raise ValueError("shard_deadline_s must be positive, got %r"
-                             % (self.shard_deadline_s,))
-        if self.backoff_base_s < 0:
-            raise ValueError("backoff_base_s must be >= 0, got %r"
-                             % (self.backoff_base_s,))
+        self.policy()  # validates the supervision knobs
 
     def policy(self) -> SupervisionPolicy:
         """The supervision knobs as a :class:`SupervisionPolicy`."""
@@ -509,16 +499,15 @@ def runner_for_bundle(bundle, config: RuntimeConfig | None = None,
     """Build a runner from a loaded on-disk bundle.
 
     Mirrors :func:`repro.core.pipeline.pipeline_for_bundle`, including the
-    ``min_connected`` default (30 days, capped at a tenth of the window).
+    defaults of :func:`repro.core.pipeline.analysis_defaults`.
     """
-    if min_connected is None:
-        window = bundle.end - bundle.start
-        min_connected = min(30 * timeutil.DAY, window / 10)
+    as_names, as_countries, min_connected = analysis_defaults(
+        bundle, min_connected)
     return ShardedRunner(
         bundle.connlog, bundle.archive, bundle.kroot, bundle.uptime,
-        bundle.ip2as, as_names=bundle.as_names,
-        as_countries=bundle.as_countries, min_connected=min_connected,
-        fingerprint=bundle.fingerprint, config=config)
+        bundle.ip2as, as_names=as_names, as_countries=as_countries,
+        min_connected=min_connected, fingerprint=bundle.fingerprint,
+        config=config)
 
 
 def runner_for_world(world, config: RuntimeConfig | None = None,
@@ -527,14 +516,8 @@ def runner_for_world(world, config: RuntimeConfig | None = None,
 
     Mirrors :func:`repro.core.pipeline.pipeline_for_world`.
     """
-    as_names: dict[int, str] = {}
-    as_countries: dict[int, str] = {}
-    for profile in world.config.profiles:
-        as_names[profile.spec.asn] = profile.spec.name
-        as_countries[profile.spec.asn] = profile.spec.country
-    if min_connected is None:
-        window = world.config.end - world.config.start
-        min_connected = min(30 * timeutil.DAY, window / 10)
+    as_names, as_countries, min_connected = analysis_defaults(
+        world, min_connected)
     return ShardedRunner(
         world.connlog, world.archive, world.kroot, world.uptime,
         world.ip2as, as_names=as_names, as_countries=as_countries,

@@ -11,20 +11,24 @@ distributed ``results_digest`` bit-identical), and the accounting obeys
 """
 
 import pickle
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dist.board import (
+from repro.runtime.board import (
+    CAUSE_CRASH,
     CAUSE_DISCONNECT,
+    CAUSE_HANG,
     SUBMIT_CORRUPT,
     SUBMIT_DUPLICATE,
     SUBMIT_LATE,
     SUBMIT_RESOLVED,
     LeaseBoard,
+    SupervisionPolicy,
 )
-from repro.runtime.supervisor import CAUSE_HANG, SupervisionPolicy
 from repro.runtime.workers import ShardResult
 from repro.util import fingerprint as fp
 
@@ -241,3 +245,108 @@ def test_result_without_envelope_charges_the_lease():
     assert board.submit(record.lease_id, None) == SUBMIT_CORRUPT
     retry = board.lease("w0")
     assert retry is not None and retry.attempt == 1
+
+
+# -- the process-pool break rule ---------------------------------------------
+
+def test_multi_lease_break_spares_then_isolates_the_suspects():
+    """At --max-retries 0 a two-lease break abandons nobody: both shards
+    become suspects, and each retries alone, where a repeat break is
+    its own and does abandon it."""
+    board = make_board(2, max_retries=0)
+    drain_leases(board, "pool")
+    lost = board.break_pool()
+    assert len(lost) == 2 and not board.abandoned
+    assert [failure.cause for failure in board.failures] == [CAUSE_CRASH] * 2
+    alone = board.lease("pool")
+    assert alone is not None and alone.attempt == 1
+    assert board.lease("pool") is None  # the suspect runs alone
+    board.break_pool()
+    assert board.abandoned == {alone.shard_index}
+    other = board.lease("pool")
+    board.submit(other.lease_id, envelope(other.shard_index, attempt=1))
+    row = board.finish(lambda item: item).resilience
+    assert row.abandoned == (alone.shard_index,)
+    assert row.analyzed_items + row.quarantined_items == row.total_items
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), count=st.integers(1, 5),
+       max_retries=st.integers(0, 2), jobs=st.integers(1, 3))
+def test_pool_breaks_never_quarantine_on_ambiguous_charges(
+        data, count, max_retries, jobs):
+    """Random grant/break/submit sequences over a ``jobs``-slot pool."""
+    board = make_board(count, max_retries=max_retries)
+
+    def fill():
+        while len(board.active) < jobs:
+            if board.lease("pool") is None:
+                break
+            # A suspect (over budget on ambiguous charges alone) never
+            # shares the board with another lease.
+            if any(record.attempt > max_retries
+                   for record in board.active.values()):
+                assert len(board.active) == 1
+
+    for _ in range(data.draw(st.integers(0, 30))):
+        fill()
+        if board.done:
+            break
+        if data.draw(st.booleans()):
+            before = set(board.abandoned)
+            lost = board.break_pool()
+            newly = board.abandoned - before
+            if len(lost) > 1:
+                assert not newly
+            elif lost[0].attempt + 1 > max_retries:
+                assert newly == {lost[0].shard_index}
+        else:
+            record = data.draw(st.sampled_from(
+                sorted(board.active.values(),
+                       key=lambda record: record.lease_id)))
+            assert board.submit(record.lease_id, envelope(
+                record.shard_index, record.attempt)) == SUBMIT_RESOLVED
+    while not board.done:
+        fill()
+        for record in list(board.active.values()):
+            board.submit(record.lease_id,
+                         envelope(record.shard_index, record.attempt))
+    outcome = board.finish(lambda item: item)
+    row = outcome.resilience
+    assert row.analyzed_items + row.quarantined_items == row.total_items
+    assert outcome.payloads == [
+        None if index in board.abandoned else payload_of(index)
+        for index in range(count)]
+
+
+def test_concurrent_lessees_resolve_every_shard_exactly_once():
+    """The board guards itself: lessee threads sharing it with no outside
+    lock still grant each shard once and resolve it once."""
+    count = 300
+    board = make_board(count)
+    envelopes = [envelope(index) for index in range(count)]
+    verdicts = []
+
+    def lessee(worker_id):
+        mine = []
+        while (record := board.lease(worker_id)) is not None:
+            mine.append(board.submit(record.lease_id,
+                                     envelopes[record.shard_index]))
+        verdicts.extend(mine)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lessee, args=("w%d" % n,))
+                   for n in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert verdicts == [SUBMIT_RESOLVED] * count
+    assert board.done and board.leases_granted == count
+    assert board.finish(lambda item: item).payloads == [
+        payload_of(index) for index in range(count)]

@@ -26,12 +26,8 @@ from repro.runtime import (
     results_digest,
     runner_for_world,
 )
-from repro.runtime.supervisor import (
-    SupervisionPolicy,
-    partition_digest,
-    payloads_in_order,
-    resolve_envelopes,
-)
+from repro.runtime.board import LeaseBoard, SupervisionPolicy
+from repro.runtime.supervisor import partition_digest
 from repro.runtime.workers import ShardResult
 
 pytestmark = pytest.mark.runtime
@@ -372,7 +368,15 @@ def test_retry_order_never_perturbs_the_ordered_merge(data, shard_count):
             max_size=2 * shard_count))
     ]
     arrival = data.draw(st.permutations(good + corrupt))
-    resolved = resolve_envelopes(arrival)
-    payloads = payloads_in_order(resolved, shard_count)
+    board = LeaseBoard(
+        "filter", [[index] for index in range(shard_count)],
+        SupervisionPolicy(max_retries=2 * shard_count, backoff_base_s=0.0),
+        clock=lambda: 0.0)
+    leases = {record.shard_index: record.lease_id
+              for record in iter(lambda: board.lease("pool"), None)}
+    for envelope in arrival:
+        board.submit(leases[envelope.shard_index], envelope)
+    assert board.done
+    payloads = board.finish(lambda item: item).payloads
     assert payloads == [
         pickle.loads(envelope.payload_pickle) for envelope in good]
