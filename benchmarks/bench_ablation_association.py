@@ -37,10 +37,12 @@ def reboot_first_cause(entries, series, reboots):
 
 
 def test_ablation_association_priority(world, results, benchmark):
+    from repro.core.changes import strip_testing_entry
     from repro.core.reboots import (
         detect_all_reboots,
         firmware_filtered_reboots,
     )
+    from repro.net.ipv4 import TESTING_ADDRESS
     from repro.util import timeutil
 
     raw = detect_all_reboots(world.uptime)
@@ -53,10 +55,11 @@ def test_ablation_association_priority(world, results, benchmark):
     def run_naive():
         counts = {GapCause.NETWORK: 0, GapCause.POWER: 0, GapCause.NONE: 0}
         for pid in probe_ids:
-            verdict = results.filter_report.verdicts[pid]
+            # The entries the analysis read: testing entry stripped.
+            entries, _ = strip_testing_entry(world.connlog.entries(pid),
+                                             TESTING_ADDRESS)
             causes = reboot_first_cause(
-                verdict.entries, world.kroot.series(pid),
-                filtered.get(pid, []))
+                entries, world.kroot.series(pid), filtered.get(pid, []))
             for cause in causes:
                 counts[cause] += 1
         return counts

@@ -1,20 +1,26 @@
-"""Columnar forms of the fat cached artifacts (DESIGN.md §16).
+"""Columnar result tables: what the fan-out stages emit (DESIGN.md §21).
 
-The hot stages' cached artifacts used to be pickled object graphs — the
-entry-stripped :class:`~repro.core.filtering.FilterReport`, plus
-megabytes of ``AddressSpan``/``GapEvent`` lists — tens of thousands of
-small objects re-walked on every warm load and re-serialized on every
-cold store.  The classes here hold the same information as a handful of
-parallel arrays plus a tiny JSON meta block, stored through
-:mod:`repro.util.colpack` so runs memory-map columns instead of walking
-pickle graphs.
+The four per-probe stages — ``filter``, ``spans``, ``reboots`` and
+``gaps`` — emit one table each, straight from the connection-log and
+uptime columns.  The same table is a shard's payload in the pool and on
+the dist socket (``colpack`` bytes inside a sealed envelope), the stage
+output the executor merges by concatenation, the artifact the cache
+stores as a memory-mapped ``.col`` sidecar, and what the results digest
+is written from.  Per-record objects (``AddressSpan``, ``AddressChange``,
+``GapEvent``, ``Reboot``, ``ProbeVerdict``) are built only when a driver
+asks for a per-probe dict, through :meth:`to_map` / :meth:`to_report`.
 
-Round-trip contract: ``decode(encode(value))`` reproduces the original
-exactly — same dict order, equal field values, and (for the filter
-artifact) ``within_as_changes`` items that are the *same objects* as the
-matching ``changes`` items (as the filter kernel constructs them).
-Verdict entry lists are dropped: they are a pure function of the
-connection log, and no stage downstream of the filter reads them.
+Every table has the same CSR layout: one row per probe (``probe_ids``
+plus per-probe columns, in the order the kernel visited the probes) and
+an offsets column slicing the flat per-item columns.  The kernels visit
+probes in sorted order and shards are contiguous chunks of sorted ids,
+so concatenating shard tables in shard order is the whole-run table.
+Column dtypes are declared per class; categorical codes index a name
+list carried in ``meta``, so a stored table stays self-describing if an
+enum ever gains members.
+
+The registered classes persist across processes and code versions, so
+each is a wire contract (RPR010).
 """
 
 from __future__ import annotations
@@ -23,48 +29,63 @@ import numpy as np
 
 from repro.core.association import GapCause, GapEvent
 from repro.core.changes import AddressChange, AddressSpan
-from repro.core.filtering import FilterReport, ProbeCategory, ProbeVerdict
+from repro.core.filtering import (
+    FilterReport,
+    ProbeCategory,
+    ProbeVerdict,
+    table2_rows,
+)
+from repro.core.reboots import Reboot
 from repro.net.ipv4 import IPv4Address
 from repro.util import colpack
 
 
-def _address_memo():
-    """An ``int -> IPv4Address`` constructor that reuses instances.
+def _addresses(*columns: np.ndarray) -> dict[int, IPv4Address]:
+    """One shared ``IPv4Address`` per distinct value in ``columns``.
 
-    Decode loops build one address object per *distinct* value instead
-    of one per row — addresses repeat heavily across spans and changes,
+    Decoding builds one address object per *distinct* value instead of
+    one per row — addresses repeat heavily across spans and changes,
     and the class is frozen, so sharing is safe.
     """
-    cache: dict[int, IPv4Address] = {}
-
-    def addr(value: int) -> IPv4Address:
-        got = cache.get(value)
-        if got is None:
-            got = cache[value] = IPv4Address(value)
-        return got
-
-    return addr
+    values = np.unique(np.concatenate(columns)).tolist()
+    return {value: IPv4Address(value) for value in values}
 
 
-@colpack.register
-class ColumnarFilterArtifact:
-    """The slim filter report as named columns.
+def csr_offsets(counts) -> np.ndarray:
+    """CSR offsets (``[0, c0, c0+c1, ...]``) of per-row item counts."""
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
 
-    Layout: one row per verdict in the report's dict order (``probe_ids``
-    is *not* re-sorted — preserving iteration order is part of the
-    round-trip contract), with CSR ``change_offsets`` slicing the flat
-    per-change columns.  ``asns`` uses ``-1`` for "no single AS" and
-    ``change_within`` flags the changes that belong to
-    ``within_as_changes``.  Category codes index the category-name list
-    carried in ``meta`` — the file is self-describing even if the enum
-    ever gains members.
 
-    This artifact persists across processes and code versions, so its
-    column set and meta keys are a wire contract (RPR010).
+def csr_expand(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray,
+                                                         np.ndarray]:
+    """The indexes of the ranges ``[lo[k], hi[k])`` laid end to end.
+
+    Returns ``(indexes, offsets)``: ``offsets`` slices ``indexes`` back
+    into one range per ``k``.  Empty ranges (``hi <= lo``) contribute
+    nothing but keep their row.
+    """
+    counts = np.maximum(hi - lo, 0)
+    offsets = csr_offsets(counts)
+    indexes = (np.arange(offsets[-1], dtype=np.int64)
+               + np.repeat(lo - offsets[:-1], counts))
+    return indexes, offsets
+
+
+class _Table:
+    """Shared plumbing of the per-probe CSR tables.
+
+    ``ROWS`` and ``ITEMS`` declare the per-probe and per-item columns
+    with their dtypes (``probe_ids`` is always the first row column);
+    ``OFFSETS`` names the offsets column.
     """
 
-    __columnar__ = "filter-artifact-columnar"
-    __wire_contract__ = "filter-artifact-columnar"
+    ROWS: dict = {"probe_ids": np.int64}
+    ITEMS: dict = {}
+    OFFSETS = "offsets"
+
+    __hash__ = None  # mutable-by-convention containers compare by value
 
     def __init__(self, meta: dict, columns: dict) -> None:
         self.meta = meta
@@ -76,296 +97,343 @@ class ColumnarFilterArtifact:
         return self.meta, self.columns
 
     @classmethod
-    def from_columns(cls, meta, columns) -> "ColumnarFilterArtifact":
+    def from_columns(cls, meta, columns):
         return cls(meta, columns)
 
-    # -- report round-trip ---------------------------------------------------
+    # -- construction ---------------------------------------------------------
 
     @classmethod
-    def from_report(cls, report: FilterReport) -> "ColumnarFilterArtifact":
-        """Encode a (fat or slim) report; entry lists are dropped."""
-        code_of = {category: code
-                   for code, category in enumerate(ProbeCategory)}
-        pids: list[int] = []
-        categories: list[int] = []
-        multi_as: list[int] = []
-        asns: list[int] = []
-        offsets: list[int] = [0]
-        old_addrs: list[int] = []
-        new_addrs: list[int] = []
-        gap_starts: list[float] = []
-        gap_ends: list[float] = []
-        within: list[int] = []
-        for pid, verdict in report.verdicts.items():
-            pids.append(pid)
-            categories.append(code_of[verdict.category])
-            multi_as.append(1 if verdict.multi_as else 0)
-            asns.append(-1 if verdict.asn is None else verdict.asn)
-            position = 0
-            pending = verdict.within_as_changes
-            for change in verdict.changes:
-                old_addrs.append(change.old_address.value)
-                new_addrs.append(change.new_address.value)
-                gap_starts.append(change.gap_start)
-                gap_ends.append(change.gap_end)
-                matched = (position < len(pending)
-                           and pending[position] == change)
-                if matched:
-                    position += 1
-                within.append(1 if matched else 0)
-            if position != len(pending):
-                # The filter builds within_as_changes as an ordered
-                # subset of changes; anything else cannot be encoded as
-                # per-change flags.
-                raise ValueError(
-                    "probe %d: within_as_changes is not an ordered "
-                    "subset of changes" % (pid,))
-            offsets.append(len(old_addrs))
-        meta = {"total": report.total,
-                "categories": [category.name for category in ProbeCategory]}
-        columns = {
-            "probe_ids": np.asarray(pids, dtype=np.int64),
-            "categories": np.asarray(categories, dtype=np.uint8),
-            "multi_as": np.asarray(multi_as, dtype=np.uint8),
-            "asns": np.asarray(asns, dtype=np.int64),
-            "change_offsets": np.asarray(offsets, dtype=np.int64),
-            "change_old": np.asarray(old_addrs, dtype=np.uint32),
-            "change_new": np.asarray(new_addrs, dtype=np.uint32),
-            "change_gap_start": np.asarray(gap_starts, dtype=np.float64),
-            "change_gap_end": np.asarray(gap_ends, dtype=np.float64),
-            "change_within": np.asarray(within, dtype=np.uint8),
-        }
-        return cls(meta, columns)
+    def default_meta(cls) -> dict:
+        return {}
+
+    @classmethod
+    def build(cls, counts, meta: dict | None = None,
+              **columns) -> "_Table":
+        """A table from per-row item ``counts`` and every declared
+        column, each cast to its declared dtype."""
+        table = {name: np.asarray(columns[name], dtype=dtype)
+                 for name, dtype in (*cls.ROWS.items(), *cls.ITEMS.items())}
+        table[cls.OFFSETS] = csr_offsets(np.asarray(counts, dtype=np.int64))
+        return cls(cls.default_meta() if meta is None else meta, table)
+
+    @classmethod
+    def empty(cls) -> "_Table":
+        return cls.build([], **{name: () for name in (*cls.ROWS,
+                                                      *cls.ITEMS)})
+
+    @classmethod
+    def concat(cls, parts) -> "_Table":
+        """Tables laid end to end, rows in ``parts`` order.
+
+        This is the shard merge: per-shard kernel tables concatenated in
+        shard order equal one kernel call over the whole probe list.
+        """
+        parts = list(parts)
+        if not parts:
+            return cls.empty()
+        meta = parts[0].meta
+        for part in parts[1:]:
+            if part.meta != meta:
+                raise ValueError("cannot concatenate %s tables with "
+                                 "different meta" % (cls.__name__,))
+        columns = {name: np.concatenate([part.columns[name]
+                                         for part in parts])
+                   for name in (*cls.ROWS, *cls.ITEMS)}
+        counts = np.concatenate([part.counts() for part in parts])
+        return cls.build(counts, meta, **columns)
+
+    # -- access ---------------------------------------------------------------
+
+    @property
+    def probe_ids(self) -> np.ndarray:
+        return self.columns["probe_ids"]
+
+    @property
+    def offsets(self) -> np.ndarray:
+        return self.columns[self.OFFSETS]
+
+    def counts(self) -> np.ndarray:
+        """Items per row."""
+        return np.diff(self.offsets)
+
+    def item_rows(self) -> np.ndarray:
+        """The row index of every item."""
+        return np.repeat(np.arange(len(self), dtype=np.int64),
+                         self.counts())
+
+    def item_positions(self) -> np.ndarray:
+        """Every item's position within its row."""
+        offsets = self.offsets
+        return (np.arange(offsets[-1], dtype=np.int64)
+                - np.repeat(offsets[:-1], self.counts()))
+
+    def __len__(self) -> int:
+        return len(self.probe_ids)
+
+    def __eq__(self, other: object) -> bool:
+        """Same type, meta and columns, compared bit for bit."""
+        if type(other) is not type(self):
+            return NotImplemented
+        if self.meta != other.meta \
+                or self.columns.keys() != other.columns.keys():
+            return False
+        for name, column in self.columns.items():
+            theirs = other.columns[name]
+            if column.dtype != theirs.dtype or column.shape != theirs.shape \
+                    or column.tobytes() != theirs.tobytes():
+                return False
+        return True
+
+    def __repr__(self) -> str:
+        return "%s(%d probes, %d items)" % (type(self).__name__, len(self),
+                                            int(self.offsets[-1]))
+
+    def _slices(self):
+        """``(probe id, lo, hi)`` per row, as native ints."""
+        offsets = self.offsets.tolist()
+        for row, pid in enumerate(self.probe_ids.tolist()):
+            yield pid, offsets[row], offsets[row + 1]
+
+
+@colpack.register
+class ColumnarFilterArtifact(_Table):
+    """Stage ``filter``: one row per classified probe (Table 2).
+
+    ``asns`` uses ``-1`` for "no single AS"; ``change_within`` flags the
+    changes whose endpoints map to the same AS.  The query methods
+    mirror :class:`~repro.core.filtering.FilterReport`'s, computed from
+    the columns; :meth:`to_report` builds the report itself.
+    """
+
+    __columnar__ = "filter-artifact-columnar"
+    __wire_contract__ = "filter-artifact-columnar"
+
+    ROWS = {"probe_ids": np.int64, "categories": np.uint8,
+            "multi_as": np.uint8, "asns": np.int64}
+    ITEMS = {"change_old": np.uint32, "change_new": np.uint32,
+             "change_gap_start": np.float64, "change_gap_end": np.float64,
+             "change_within": np.uint8}
+    OFFSETS = "change_offsets"
+
+    @classmethod
+    def default_meta(cls) -> dict:
+        return {"categories": [category.name for category in ProbeCategory]}
+
+    def _code(self, category: ProbeCategory) -> int:
+        return self.meta["categories"].index(category.name)
+
+    def _ids(self, mask: np.ndarray) -> list[int]:
+        return sorted(self.probe_ids[mask].tolist())
+
+    def _analyzable(self) -> np.ndarray:
+        return self.columns["categories"] == self._code(
+            ProbeCategory.ANALYZABLE)
+
+    def _single_as(self) -> np.ndarray:
+        return self._analyzable() & (self.columns["multi_as"] == 0)
+
+    # -- the FilterReport queries --------------------------------------------
+
+    @property
+    def total(self) -> int:
+        """Probes classified, short-lived ones excluded (Table 2)."""
+        return int(np.count_nonzero(self.columns["categories"] != self._code(
+            ProbeCategory.SHORT_LIVED)))
+
+    def count(self, category: ProbeCategory) -> int:
+        return int(np.count_nonzero(
+            self.columns["categories"] == self._code(category)))
+
+    def analyzable_geo(self) -> list[int]:
+        return self._ids(self._analyzable())
+
+    def analyzable_as(self) -> list[int]:
+        return self._ids(self._single_as())
+
+    def multi_as_probes(self) -> list[int]:
+        return self._ids(self._analyzable() & (self.columns["multi_as"] != 0))
+
+    def table2_rows(self) -> list[tuple[str, int]]:
+        return table2_rows(self)
+
+    # -- derived tables ---------------------------------------------------------
+
+    def single_as_changes(self) -> tuple["ColumnarChangeMap",
+                                         dict[int, int]]:
+        """Changes and home AS of every single-AS probe, sorted by id.
+
+        A single-AS probe is analyzable, never crossed an AS boundary
+        and has an origin AS for its first address.
+        """
+        rows = np.nonzero(self._single_as() & (self.columns["asns"] >= 0))[0]
+        rows = rows[np.argsort(self.probe_ids[rows], kind="stable")]
+        offsets = self.offsets
+        items, _ = csr_expand(offsets[rows], offsets[rows + 1])
+        pick = {name: self.columns["change_" + name][items]
+                for name in ("old", "new", "gap_start", "gap_end")}
+        changes = ColumnarChangeMap.build(
+            self.counts()[rows], probe_ids=self.probe_ids[rows], **pick)
+        asn_by_probe = dict(zip(self.probe_ids[rows].tolist(),
+                                self.columns["asns"][rows].tolist()))
+        return changes, asn_by_probe
 
     def to_report(self) -> FilterReport:
-        """Decode back into the slim (entry-stripped) report."""
+        """The report as objects, rows in table order (no entry lists)."""
         categories = [ProbeCategory[name]
                       for name in self.meta["categories"]]
-        pids = self.columns["probe_ids"].tolist()
         codes = self.columns["categories"].tolist()
         multi = self.columns["multi_as"].tolist()
         asns = self.columns["asns"].tolist()
-        offsets = self.columns["change_offsets"].tolist()
         old_addrs = self.columns["change_old"].tolist()
         new_addrs = self.columns["change_new"].tolist()
         gap_starts = self.columns["change_gap_start"].tolist()
         gap_ends = self.columns["change_gap_end"].tolist()
         within_flags = self.columns["change_within"].tolist()
-        addr = _address_memo()
+        addr = _addresses(self.columns["change_old"],
+                          self.columns["change_new"])
         verdicts: dict[int, ProbeVerdict] = {}
-        for row, pid in enumerate(pids):
-            lo, hi = offsets[row], offsets[row + 1]
+        for row, (pid, lo, hi) in enumerate(self._slices()):
             changes = [AddressChange(pid,
-                                     addr(old_addrs[index]),
-                                     addr(new_addrs[index]),
+                                     addr[old_addrs[index]],
+                                     addr[new_addrs[index]],
                                      gap_starts[index], gap_ends[index])
                        for index in range(lo, hi)]
             verdicts[pid] = ProbeVerdict(
                 probe_id=pid,
                 category=categories[codes[row]],
-                entries=[],
                 changes=changes,
                 within_as_changes=[changes[index - lo]
                                    for index in range(lo, hi)
                                    if within_flags[index]],
                 multi_as=bool(multi[row]),
                 asn=None if asns[row] < 0 else asns[row])
-        return FilterReport(verdicts=verdicts, total=self.meta["total"])
-
-
-class _ColumnarMapBase:
-    """Shared plumbing for ``dict[int, list[...]]`` artifacts.
-
-    Layout: ``probe_ids`` in the dict's insertion order (never
-    re-sorted — preserving iteration order is part of the round-trip
-    contract) with CSR ``offsets`` slicing the flat per-item columns.
-    """
-
-    def __init__(self, meta: dict, columns: dict) -> None:
-        self.meta = meta
-        self.columns = columns
-
-    def to_columns(self):
-        return self.meta, self.columns
-
-    @classmethod
-    def from_columns(cls, meta, columns):
-        return cls(meta, columns)
+        return FilterReport(verdicts=verdicts, total=self.total)
 
 
 @colpack.register
-class ColumnarSpanMap(_ColumnarMapBase):
-    """``spans_by_probe`` (``dict[int, list[AddressSpan]]``) as columns.
-
-    Persists across processes and code versions — a wire contract
-    (RPR010).
-    """
+class ColumnarSpanMap(_Table):
+    """Stage ``spans``: ``spans_by_probe`` (``dict[int,
+    list[AddressSpan]]``) as columns."""
 
     __columnar__ = "span-map-columnar"
     __wire_contract__ = "span-map-columnar"
 
-    @classmethod
-    def from_map(cls, spans_by_probe: dict) -> "ColumnarSpanMap":
-        pids: list[int] = []
-        offsets: list[int] = [0]
-        addrs: list[int] = []
-        starts: list[float] = []
-        ends: list[float] = []
-        complete_start: list[int] = []
-        complete_end: list[int] = []
-        for pid, spans in spans_by_probe.items():
-            pids.append(pid)
-            for span in spans:
-                if span.probe_id != pid:
-                    raise ValueError(
-                        "span probe_id %d under key %d cannot be encoded"
-                        % (span.probe_id, pid))
-                addrs.append(span.address.value)
-                starts.append(span.start)
-                ends.append(span.end)
-                complete_start.append(1 if span.complete_start else 0)
-                complete_end.append(1 if span.complete_end else 0)
-            offsets.append(len(addrs))
-        columns = {
-            "probe_ids": np.asarray(pids, dtype=np.int64),
-            "offsets": np.asarray(offsets, dtype=np.int64),
-            "address": np.asarray(addrs, dtype=np.uint32),
-            "start": np.asarray(starts, dtype=np.float64),
-            "end": np.asarray(ends, dtype=np.float64),
-            "complete_start": np.asarray(complete_start, dtype=np.uint8),
-            "complete_end": np.asarray(complete_end, dtype=np.uint8),
-        }
-        return cls({}, columns)
+    ITEMS = {"address": np.uint32, "start": np.float64, "end": np.float64,
+             "complete_start": np.uint8, "complete_end": np.uint8}
 
-    def to_map(self) -> dict:
-        pids = self.columns["probe_ids"].tolist()
-        offsets = self.columns["offsets"].tolist()
+    def durations(self) -> "ColumnarFloatMap":
+        """Known durations: the interior spans of every probe with any.
+
+        Elementwise float64 ``end - start`` is the scalar subtraction
+        :attr:`AddressSpan.duration` performs, bit for bit.
+        """
+        counts = self.counts()
+        positions = self.item_positions()
+        interior = (positions >= 1) & (
+            positions <= np.repeat(counts, counts) - 2)
+        known = np.maximum(counts - 2, 0)
+        rows = known > 0
+        values = (self.columns["end"] - self.columns["start"])[interior]
+        return ColumnarFloatMap.build(
+            known[rows], probe_ids=self.probe_ids[rows], values=values)
+
+    def to_map(self) -> dict[int, list[AddressSpan]]:
         addrs = self.columns["address"].tolist()
         starts = self.columns["start"].tolist()
         ends = self.columns["end"].tolist()
         complete_start = self.columns["complete_start"].tolist()
         complete_end = self.columns["complete_end"].tolist()
-        addr = _address_memo()
-        spans_by_probe: dict[int, list[AddressSpan]] = {}
-        for row, pid in enumerate(pids):
-            lo, hi = offsets[row], offsets[row + 1]
-            spans_by_probe[pid] = [
-                AddressSpan(pid, addr(addrs[index]), starts[index],
-                            ends[index], bool(complete_start[index]),
-                            bool(complete_end[index]))
-                for index in range(lo, hi)]
-        return spans_by_probe
+        addr = _addresses(self.columns["address"])
+        return {pid: [AddressSpan(pid, addr[addrs[index]], starts[index],
+                                  ends[index], bool(complete_start[index]),
+                                  bool(complete_end[index]))
+                      for index in range(lo, hi)]
+                for pid, lo, hi in self._slices()}
 
 
 @colpack.register
-class ColumnarFloatMap(_ColumnarMapBase):
-    """A ``dict[int, list[float]]`` artifact (``durations_by_probe``).
-
-    Persists across processes and code versions — a wire contract
-    (RPR010).
-    """
+class ColumnarFloatMap(_Table):
+    """A ``dict[int, list[float]]`` artifact (``durations_by_probe``)."""
 
     __columnar__ = "float-map-columnar"
     __wire_contract__ = "float-map-columnar"
 
-    @classmethod
-    def from_map(cls, values_by_probe: dict) -> "ColumnarFloatMap":
-        pids = list(values_by_probe)
-        offsets: list[int] = [0]
-        flat: list[float] = []
-        for values in values_by_probe.values():
-            flat.extend(values)
-            offsets.append(len(flat))
-        columns = {
-            "probe_ids": np.asarray(pids, dtype=np.int64),
-            "offsets": np.asarray(offsets, dtype=np.int64),
-            "values": np.asarray(flat, dtype=np.float64),
-        }
-        return cls({}, columns)
+    ITEMS = {"values": np.float64}
 
-    def to_map(self) -> dict:
-        pids = self.columns["probe_ids"].tolist()
-        offsets = self.columns["offsets"].tolist()
+    def to_map(self) -> dict[int, list[float]]:
         values = self.columns["values"].tolist()
-        return {pid: values[offsets[row]:offsets[row + 1]]
-                for row, pid in enumerate(pids)}
+        return {pid: values[lo:hi] for pid, lo, hi in self._slices()}
+
+
+class ColumnarChangeMap(_Table):
+    """Stage ``changes``: ``changes_by_probe`` (``dict[int,
+    list[AddressChange]]``) as columns.
+
+    A projection of the filter table the stage recomputes on every run,
+    so it is neither cached nor shipped: no wire contract.
+    """
+
+    ITEMS = {"old": np.uint32, "new": np.uint32, "gap_start": np.float64,
+             "gap_end": np.float64}
+
+    def to_map(self) -> dict[int, list[AddressChange]]:
+        old_addrs = self.columns["old"].tolist()
+        new_addrs = self.columns["new"].tolist()
+        gap_starts = self.columns["gap_start"].tolist()
+        gap_ends = self.columns["gap_end"].tolist()
+        addr = _addresses(self.columns["old"], self.columns["new"])
+        return {pid: [AddressChange(pid, addr[old_addrs[index]],
+                                    addr[new_addrs[index]],
+                                    gap_starts[index], gap_ends[index])
+                      for index in range(lo, hi)]
+                for pid, lo, hi in self._slices()}
 
 
 @colpack.register
-class ColumnarGapEventMap(_ColumnarMapBase):
-    """``gap_events_by_probe`` (``dict[int, list[GapEvent]]``) as columns.
+class ColumnarRebootMap(_Table):
+    """Stage ``reboots``' per-probe half: counter resets per probe."""
 
-    Cause codes index the cause-name list carried in ``meta`` (the file
-    stays self-describing if the enum ever gains members).  Persists
-    across processes and code versions — a wire contract (RPR010).
-    """
+    __columnar__ = "reboot-map-columnar"
+    __wire_contract__ = "reboot-map-columnar"
+
+    ITEMS = {"time": np.float64, "reported_at": np.float64}
+
+    def to_map(self) -> dict[int, list[Reboot]]:
+        times = self.columns["time"].tolist()
+        reported = self.columns["reported_at"].tolist()
+        return {pid: [Reboot(pid, times[index], reported[index])
+                      for index in range(lo, hi)]
+                for pid, lo, hi in self._slices()}
+
+
+@colpack.register
+class ColumnarGapEventMap(_Table):
+    """Stage ``gaps``: ``gap_events_by_probe`` (``dict[int,
+    list[GapEvent]]``) as columns; cause codes index ``meta["causes"]``."""
 
     __columnar__ = "gap-event-map-columnar"
     __wire_contract__ = "gap-event-map-columnar"
 
-    @classmethod
-    def from_map(cls, events_by_probe: dict) -> "ColumnarGapEventMap":
-        code_of = {cause: code for code, cause in enumerate(GapCause)}
-        pids: list[int] = []
-        offsets: list[int] = [0]
-        gap_starts: list[float] = []
-        gap_ends: list[float] = []
-        causes: list[int] = []
-        changed: list[int] = []
-        outage: list[float] = []
-        for pid, events in events_by_probe.items():
-            pids.append(pid)
-            for event in events:
-                if event.probe_id != pid:
-                    raise ValueError(
-                        "gap event probe_id %d under key %d cannot be "
-                        "encoded" % (event.probe_id, pid))
-                gap_starts.append(event.gap_start)
-                gap_ends.append(event.gap_end)
-                causes.append(code_of[event.cause])
-                changed.append(1 if event.address_changed else 0)
-                outage.append(event.outage_duration)
-            offsets.append(len(causes))
-        meta = {"causes": [cause.name for cause in GapCause]}
-        columns = {
-            "probe_ids": np.asarray(pids, dtype=np.int64),
-            "offsets": np.asarray(offsets, dtype=np.int64),
-            "gap_start": np.asarray(gap_starts, dtype=np.float64),
-            "gap_end": np.asarray(gap_ends, dtype=np.float64),
-            "cause": np.asarray(causes, dtype=np.uint8),
-            "address_changed": np.asarray(changed, dtype=np.uint8),
-            "outage_duration": np.asarray(outage, dtype=np.float64),
-        }
-        return cls(meta, columns)
+    ITEMS = {"gap_start": np.float64, "gap_end": np.float64,
+             "cause": np.uint8, "address_changed": np.uint8,
+             "outage_duration": np.float64}
 
-    def to_map(self) -> dict:
+    @classmethod
+    def default_meta(cls) -> dict:
+        return {"causes": [cause.name for cause in GapCause]}
+
+    def cause_code(self, cause: GapCause) -> int:
+        return self.meta["causes"].index(cause.name)
+
+    def to_map(self) -> dict[int, list[GapEvent]]:
         causes = [GapCause[name] for name in self.meta["causes"]]
-        pids = self.columns["probe_ids"].tolist()
-        offsets = self.columns["offsets"].tolist()
         gap_starts = self.columns["gap_start"].tolist()
         gap_ends = self.columns["gap_end"].tolist()
         codes = self.columns["cause"].tolist()
         changed = self.columns["address_changed"].tolist()
         outage = self.columns["outage_duration"].tolist()
-        events_by_probe: dict[int, list[GapEvent]] = {}
-        for row, pid in enumerate(pids):
-            lo, hi = offsets[row], offsets[row + 1]
-            events_by_probe[pid] = [
-                GapEvent(pid, gap_starts[index], gap_ends[index],
-                         causes[codes[index]], bool(changed[index]),
-                         outage[index])
-                for index in range(lo, hi)]
-        return events_by_probe
-
-
-def decode_value(value: object) -> object:
-    """Decode one cached artifact value; non-columnar values pass through.
-
-    The single dispatch point the executor's cache-revive path uses.
-    """
-    if isinstance(value, ColumnarFilterArtifact):
-        return value.to_report()
-    if isinstance(value, (ColumnarSpanMap, ColumnarFloatMap,
-                          ColumnarGapEventMap)):
-        return value.to_map()
-    return value
+        return {pid: [GapEvent(pid, gap_starts[index], gap_ends[index],
+                               causes[codes[index]], bool(changed[index]),
+                               outage[index])
+                      for index in range(lo, hi)]
+                for pid, lo, hi in self._slices()}

@@ -4,24 +4,22 @@ The hot per-probe kernels behind :mod:`repro.core.pipeline`'s stage
 functions: probe classification (stage ``filter``, including change
 extraction and the batched IP-to-AS lookups), span extraction (stage
 ``spans``), uptime-reset detection (stage ``reboots``) and gap
-association (stage ``gaps``).  Each must produce objects
-**bit-identical** to the record primitives (``ProbeFilter``,
-``extract_spans``, ``detect_reboots``, ``associate_probe_gaps``) run
-probe by probe — the differential tests pin this against the record
-oracle in ``tests/record_oracle.py``.
+association (stage ``gaps``).  Each emits one
+:mod:`~repro.core.colartifact` table straight from the columns, and the
+table's :meth:`to_map` / :meth:`to_report` must be **bit-identical** to
+the record primitives (``ProbeFilter``, ``extract_spans``,
+``detect_reboots``, ``associate_probe_gaps``) run probe by probe — the
+differential tests pin this against the record oracle in
+``tests/record_oracle.py``.
 
 Exactness rules the implementations follow:
 
-* every float that reaches a result dataclass is taken from the
-  columns via ``tolist()`` (bit-identical to the source records) or
-  computed with the same scalar IEEE operation the record kernel used
-  (elementwise float64 add/sub equals the CPython scalar op);
+* every float that lands in a table is gathered from the source columns
+  or computed with the same elementwise IEEE operation the record
+  kernel performs as a scalar (float64 add/sub equals the CPython op);
 * order-sensitive reductions (the 30-day connected-time threshold)
   use sequential ``sum`` over native floats, never pairwise numpy
-  summation;
-* numpy scalars never escape: indexes and values are converted with
-  ``int()``/``tolist()`` before constructing result objects, so
-  ``repr``-canonicalized digests cannot observe the backend.
+  summation.
 
 The gap kernel avoids materializing ping records entirely: a
 :class:`KRootOutageIndex` enumerates only the *all-lost* ticks of a
@@ -40,60 +38,54 @@ import numpy as np
 from repro.atlas.columnar import ColumnarConnlog, ColumnarUptime
 from repro.atlas.kroot import DEFAULT_CADENCE, HEALTHY_LTS, KRootSeries
 from repro.core import association
-from repro.core.association import WINDOW_MARGIN, GapCause, GapEvent
-from repro.core.changes import AddressChange, AddressSpan
-from repro.core.filtering import (
-    MULTIHOMED_MIN_RUNS,
-    ProbeCategory,
-    ProbeVerdict,
+from repro.core.association import WINDOW_MARGIN, GapCause
+from repro.core.colartifact import (
+    ColumnarFilterArtifact,
+    ColumnarGapEventMap,
+    ColumnarRebootMap,
+    ColumnarSpanMap,
+    csr_expand,
+    csr_offsets,
 )
+from repro.core.filtering import MULTIHOMED_MIN_RUNS, ProbeCategory
 from repro.core.reboots import Reboot
-from repro.net.ipv4 import TESTING_ADDRESS, IPv4Address
+from repro.net.ipv4 import TESTING_ADDRESS
 from repro.net.pfx2as import UNROUTED, IpToAsDataset
 
 _TESTING_VALUE = TESTING_ADDRESS.value
 
+_CATEGORY = {category: code for code, category in enumerate(ProbeCategory)}
+_CAUSE = {cause: code for code, cause in enumerate(GapCause)}
 
-def _strip_offset(col: ColumnarConnlog, lo: int, hi: int) -> int:
-    """Start offset after the testing-entry strip (Section 3.3).
+
+def _bounds(col: ColumnarConnlog, probe_ids: Sequence[int]
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each probe's rows ``[lo, hi)`` and ``slo``, where they start after
+    the testing-entry strip (Section 3.3).
 
     The strip is a pure function of the raw entries — first entry is
-    IPv4 and carries the RIPE testing address — so the spans and gaps
-    kernels recompute it from the columns instead of needing the
-    stripped entry lists a fat ``FilterReport`` would carry.
+    IPv4 and carries the RIPE testing address — so every kernel
+    recomputes it from the columns.
     """
-    if (hi > lo and int(col.v6[lo]) == 0
-            and int(col.addrs[lo]) == _TESTING_VALUE):
-        return lo + 1
-    return lo
+    bounds = [col.slice_of(int(pid)) for pid in probe_ids]
+    lo = np.asarray([low for low, _ in bounds], dtype=np.int64)
+    hi = np.asarray([high for _, high in bounds], dtype=np.int64)
+    slo = lo
+    if len(col.addrs):
+        head = np.minimum(lo, len(col.addrs) - 1)
+        slo = lo + ((hi > lo) & (col.v6[head] == 0)
+                    & (col.addrs[head] == _TESTING_VALUE))
+    return lo, slo, hi
 
 
 # -- stage ``filter`` ---------------------------------------------------------
 
-def _address(memo: dict[int, IPv4Address], value: int) -> IPv4Address:
-    """``value`` as an address, one shared object per value in ``memo``.
-
-    Each kernel call brings its own memo: kernels run concurrently on
-    one bundle, so they share no state.
-    """
-    found = memo.get(value)
-    if found is None:
-        found = memo[value] = IPv4Address(value)
-    return found
-
-
-def classify_probes(col: ColumnarConnlog, connlog, archive,
-                    ip2as: IpToAsDataset, min_connected: float,
-                    probe_ids: Sequence[int] | None = None,
-                    with_entries: bool = True) -> dict[int, ProbeVerdict]:
+def classify_probes(col: ColumnarConnlog, archive, ip2as: IpToAsDataset,
+                    min_connected: float,
+                    probe_ids: Sequence[int] | None = None
+                    ) -> ColumnarFilterArtifact:
     """Columnar :meth:`~repro.core.filtering.ProbeFilter.classify` over
-    many probes, in the same precedence order.
-
-    Verdicts are computed from the columns alone.  ``with_entries=False``
-    leaves ``verdict.entries`` empty (the slim IPC/cache form) and never
-    touches ``connlog``, so it builds no record objects; otherwise the
-    entries come from ``connlog.entries``.
-    """
+    many probes, in the same precedence order, as one filter table."""
     if probe_ids is None:
         pids = col.probe_ids.tolist()
     else:
@@ -102,150 +94,123 @@ def classify_probes(col: ColumnarConnlog, connlog, archive,
     run_starts = col.run_starts()
     v6_cumsum = np.concatenate((np.zeros(1, dtype=np.int64),
                                 np.cumsum(col.v6, dtype=np.int64)))
-    addresses: dict[int, IPv4Address] = {}
-    verdicts: dict[int, ProbeVerdict] = {}
-    pending: list[tuple[int, int, list, list]] = []
-    lookup_addrs: list[int] = []
-    lookup_times: list[float] = []
-    for pid in pids:
-        lo, hi = col.slice_of(pid)
+    categories = np.empty(len(pids), dtype=np.uint8)
+    counts = np.zeros(len(pids), dtype=np.int64)
+    # Per analyzable probe: its table row, first stripped row, and the
+    # rows at which a new address starts.
+    analyzable: list[int] = []
+    firsts: list[int] = []
+    change_rows: list[np.ndarray] = []
+    bounds = zip(*(column.tolist() for column in _bounds(col, pids)))
+    for row, (pid, (lo, slo, hi)) in enumerate(zip(pids, bounds)):
         # Sequential native-float sum: the 30-day threshold compare must
         # see the exact value the record path's ordered sum produces.
         if sum(durations[lo:hi]) < min_connected:
-            verdicts[pid] = ProbeVerdict(pid, ProbeCategory.SHORT_LIVED)
+            categories[row] = _CATEGORY[ProbeCategory.SHORT_LIVED]
             continue
         v6_count = int(v6_cumsum[hi] - v6_cumsum[lo])
         if v6_count:
-            category = (ProbeCategory.IPV6_ONLY if v6_count == hi - lo
-                        else ProbeCategory.DUAL_STACK)
-            verdicts[pid] = ProbeVerdict(pid, category)
+            categories[row] = _CATEGORY[
+                ProbeCategory.IPV6_ONLY if v6_count == hi - lo
+                else ProbeCategory.DUAL_STACK]
             continue
         if archive.has_probe(pid) and archive.get(pid).has_filtered_tag:
-            verdicts[pid] = ProbeVerdict(pid, ProbeCategory.TAGGED)
+            categories[row] = _CATEGORY[ProbeCategory.TAGGED]
             continue
         run_values = col.addrs[lo:hi][run_starts[lo:hi]]
         if run_values.size:
-            _, counts = np.unique(run_values, return_counts=True)
-            if int(counts.max()) >= MULTIHOMED_MIN_RUNS:
-                verdicts[pid] = ProbeVerdict(pid, ProbeCategory.MULTIHOMED)
+            _, runs = np.unique(run_values, return_counts=True)
+            if int(runs.max()) >= MULTIHOMED_MIN_RUNS:
+                categories[row] = _CATEGORY[ProbeCategory.MULTIHOMED]
                 continue
-        slo = _strip_offset(col, lo, hi)
-        entries = []
-        if with_entries:
-            entries = connlog.entries(pid)
-            if slo > lo:
-                entries = entries[1:]
-        change_at = (np.nonzero(run_starts[slo + 1:hi])[0] + 1).tolist()
-        if not change_at:
-            category = (ProbeCategory.TESTING_ONLY if slo > lo
-                        else ProbeCategory.NEVER_CHANGED)
-            verdicts[pid] = ProbeVerdict(pid, category, entries=entries)
+        change_at = np.nonzero(run_starts[slo + 1:hi])[0] + (slo + 1)
+        if not change_at.size:
+            categories[row] = _CATEGORY[
+                ProbeCategory.TESTING_ONLY if slo > lo
+                else ProbeCategory.NEVER_CHANGED]
             continue
-        addrs = col.addrs[slo:hi].tolist()
-        starts = col.starts[slo:hi].tolist()
-        ends = col.ends[slo:hi].tolist()
-        changes: list[AddressChange] = []
-        for at in change_at:
-            changes.append(AddressChange(
-                pid, _address(addresses, addrs[at - 1]),
-                _address(addresses, addrs[at]), ends[at - 1], starts[at]))
-            lookup_addrs.append(addrs[at - 1])
-            lookup_times.append(starts[at])
-            lookup_addrs.append(addrs[at])
-            lookup_times.append(starts[at])
-        # Placeholder keeps dict order; the AS split fills it in below.
-        verdicts[pid] = ProbeVerdict(pid, ProbeCategory.ANALYZABLE)
-        pending.append((pid, slo, entries, changes))
+        categories[row] = _CATEGORY[ProbeCategory.ANALYZABLE]
+        counts[row] = change_at.size
+        analyzable.append(row)
+        firsts.append(slo)
+        change_rows.append(change_at)
 
-    if not pending:
-        return verdicts
-    asns = ip2as.origin_asns(lookup_addrs, lookup_times)
-    cursor = 0
-    first_addrs: list[int] = []
-    first_times: list[float] = []
-    resolved: list[tuple[int, list, list, list, bool]] = []
-    for pid, slo, entries, changes in pending:
-        span = asns[cursor:cursor + 2 * len(changes)]
-        cursor += 2 * len(changes)
-        old_asns = span[0::2]
-        new_asns = span[1::2]
-        crossed = ((old_asns != UNROUTED) & (new_asns != UNROUTED)
-                   & (old_asns != new_asns))
-        multi_as = bool(crossed.any())
-        within = [change for change, crossing
-                  in zip(changes, crossed.tolist()) if not crossing]
-        resolved.append((pid, entries, changes, within, multi_as))
-        if not multi_as:
-            # Analyzable probes are pure IPv4 here, so the first v4
-            # entry the record kernel scans for is simply the first row.
-            first_addrs.append(int(col.addrs[slo]))
-            first_times.append(float(col.starts[slo]))
-    first_asns = ip2as.origin_asns(first_addrs, first_times)
-    first_cursor = 0
-    for pid, entries, changes, within, multi_as in resolved:
-        asn = None
-        if not multi_as:
-            value = int(first_asns[first_cursor])
-            first_cursor += 1
-            asn = None if value == UNROUTED else value
-        verdicts[pid] = ProbeVerdict(
-            pid, ProbeCategory.ANALYZABLE, entries=entries,
-            changes=changes, within_as_changes=within,
-            multi_as=multi_as, asn=asn)
-    return verdicts
+    at = (np.concatenate(change_rows) if change_rows
+          else np.zeros(0, dtype=np.int64))
+    gap_ends = col.starts[at]  # the change time
+    old = col.addrs[at - 1]
+    new = col.addrs[at]
+    # One batched lookup, old/new interleaved per change in probe order
+    # (the record path's order, which decides which missing month fails
+    # first).
+    lookups = np.empty(2 * len(at), dtype=np.int64)
+    lookups[0::2] = old
+    lookups[1::2] = new
+    asns = ip2as.origin_asns(lookups, np.repeat(gap_ends, 2))
+    old_asns = asns[0::2]
+    new_asns = asns[1::2]
+    crossed = ((old_asns != UNROUTED) & (new_asns != UNROUTED)
+               & (old_asns != new_asns))
+    multi_as = np.zeros(len(pids), dtype=bool)
+    home = np.full(len(pids), -1, dtype=np.int64)
+    if analyzable:
+        rows = np.asarray(analyzable, dtype=np.int64)
+        multi_as[rows] = np.logical_or.reduceat(
+            crossed, csr_offsets(counts[rows])[:-1])
+        # Analyzable probes are pure IPv4 here, so the first v4 entry
+        # the record kernel scans for is simply the first stripped row.
+        single = ~multi_as[rows]
+        first = np.asarray(firsts, dtype=np.int64)[single]
+        home[rows[single]] = ip2as.origin_asns(col.addrs[first],
+                                               col.starts[first])
+    return ColumnarFilterArtifact.build(
+        counts, probe_ids=pids, categories=categories, multi_as=multi_as,
+        asns=home, change_old=old, change_new=new,
+        change_gap_start=col.ends[at - 1], change_gap_end=gap_ends,
+        change_within=~crossed)
 
 
 # -- stage ``spans`` ----------------------------------------------------------
 
 def probe_spans_col(col: ColumnarConnlog, probe_ids: Sequence[int]
-                    ) -> dict[int, tuple[list[AddressSpan], list[float]]]:
-    """Spans and known durations per probe (:func:`~repro.core.changes
-    .extract_spans` and :func:`~repro.core.changes.known_durations`).
+                    ) -> ColumnarSpanMap:
+    """Spans per probe (:func:`~repro.core.changes.extract_spans`), as
+    one span table; :meth:`ColumnarSpanMap.durations` derives the known
+    durations (:func:`~repro.core.changes.known_durations`).
 
     Only valid for analyzable (pure-IPv4) probes: runs of equal
     addresses merge into spans, the first/last span of a probe has an
-    unknown boundary, interior spans are the known durations.
+    unknown boundary.
     """
-    run_starts = col.run_starts()
-    addresses: dict[int, IPv4Address] = {}
-    out: dict[int, tuple[list[AddressSpan], list[float]]] = {}
-    for pid in probe_ids:
-        pid = int(pid)
-        lo, hi = col.slice_of(pid)
-        slo = _strip_offset(col, lo, hi)
-        if slo >= hi:
-            out[pid] = ([], [])
-            continue
-        addrs = col.addrs[slo:hi].tolist()
-        starts = col.starts[slo:hi].tolist()
-        ends = col.ends[slo:hi].tolist()
-        heads = [0] + (np.nonzero(run_starts[slo + 1:hi])[0] + 1).tolist()
-        last = len(heads) - 1
-        spans: list[AddressSpan] = []
-        for position, head in enumerate(heads):
-            tail = (heads[position + 1] if position < last
-                    else hi - slo) - 1
-            spans.append(AddressSpan(
-                probe_id=pid,
-                address=_address(addresses, addrs[head]),
-                start=starts[head],
-                end=ends[tail],
-                complete_start=position > 0,
-                complete_end=position < last))
-        durations = [span.end - span.start for span in spans[1:-1]]
-        out[pid] = (spans, durations)
-    return out
+    _, lo, hi = _bounds(col, probe_ids)
+    rows, row_offsets = csr_expand(lo, hi)
+    heads = col.run_starts()[rows]
+    heads[row_offsets[:-1][lo < hi]] = True  # every probe opens a span
+    at = np.nonzero(heads)[0]
+    # A span ends where the next one starts: within a probe that is the
+    # next head, and the next probe's first head ends the last span.
+    tails = rows[np.concatenate((at[1:], [len(rows)]))[:len(at)] - 1]
+    cumulative = np.concatenate(([0], np.cumsum(heads, dtype=np.int64)))
+    counts = cumulative[row_offsets[1:]] - cumulative[row_offsets[:-1]]
+    positions = (np.arange(len(at), dtype=np.int64)
+                 - np.repeat(csr_offsets(counts)[:-1], counts))
+    heads_at = rows[at]
+    return ColumnarSpanMap.build(
+        counts, probe_ids=[int(pid) for pid in probe_ids],
+        address=col.addrs[heads_at], start=col.starts[heads_at],
+        end=col.ends[tails], complete_start=positions > 0,
+        complete_end=positions < np.repeat(counts, counts) - 1)
 
 
 # -- stage ``reboots`` --------------------------------------------------------
 
 def detect_reboots_col(colup: ColumnarUptime,
                        probe_ids: Sequence[int] | None = None
-                       ) -> dict[int, list[Reboot]]:
+                       ) -> ColumnarRebootMap:
     """Columnar :func:`~repro.core.reboots.detect_reboots` over a batch.
 
-    Every requested probe gets a key (possibly an empty list), matching
-    :func:`~repro.core.reboots.detect_all_reboots`.
+    Every requested probe gets a row (possibly with no reboots),
+    matching :func:`~repro.core.reboots.detect_all_reboots`.
     """
     if probe_ids is None:
         pids = colup.probe_ids.tolist()
@@ -257,15 +222,18 @@ def detect_reboots_col(colup: ColumnarUptime,
         resets[1:] = colup.uptimes[1:] < colup.uptimes[:-1]
         firsts = colup.offsets[:-1]
         resets[firsts[firsts < total]] = False
+    bounds = [colup.slice_of(pid) for pid in pids]
+    rows, row_offsets = csr_expand(
+        np.asarray([lo for lo, _ in bounds], dtype=np.int64),
+        np.asarray([hi for _, hi in bounds], dtype=np.int64))
+    hit = resets[rows]
+    cumulative = np.concatenate(([0], np.cumsum(hit, dtype=np.int64)))
+    at = rows[hit]
     # Elementwise f64 subtract matches UptimeRecord.boot_time exactly.
-    boots = (colup.timestamps - colup.uptimes).tolist()
-    stamps = colup.timestamps.tolist()
-    out: dict[int, list[Reboot]] = {}
-    for pid in pids:
-        lo, hi = colup.slice_of(pid)
-        hits = (np.nonzero(resets[lo:hi])[0] + lo).tolist()
-        out[pid] = [Reboot(pid, boots[at], stamps[at]) for at in hits]
-    return out
+    return ColumnarRebootMap.build(
+        cumulative[row_offsets[1:]] - cumulative[row_offsets[:-1]],
+        probe_ids=pids, time=colup.timestamps[at] - colup.uptimes[at],
+        reported_at=colup.timestamps[at])
 
 
 # -- stage ``gaps`` -----------------------------------------------------------
@@ -352,11 +320,12 @@ class KRootOutageIndex:
         self.grow = grow
 
 
-def _classify_slow(pid: int, gap_start: float, gap_end: float,
-                   changed: bool, index: KRootOutageIndex, j0: int, j1: int,
+def _classify_slow(gap_start: float, gap_end: float,
+                   index: KRootOutageIndex, j0: int, j1: int,
                    series: KRootSeries, ordered_reboots: list[Reboot],
-                   i0: int, i1: int) -> GapEvent:
-    """Exact classification of one gap that is near lost ticks/reboots."""
+                   i0: int, i1: int) -> tuple[GapCause, float]:
+    """Exact cause and outage duration of one gap that is near lost
+    ticks or reboots."""
     run = index.run
     a = j0
     while a < j1:
@@ -368,8 +337,7 @@ def _classify_slow(pid: int, gap_start: float, gap_end: float,
             start = index.times_list[a]
             end = index.times_list[b - 1]
             if start <= gap_end and gap_start <= end:
-                return GapEvent(pid, gap_start, gap_end, GapCause.NETWORK,
-                                changed, end - start)
+                return GapCause.NETWORK, end - start
         a = b
     for reboot in ordered_reboots[i0:i1]:
         # The record round-bracketing scan stays the oracle for power
@@ -377,69 +345,62 @@ def _classify_slow(pid: int, gap_start: float, gap_end: float,
         missing, duration = association._missing_rounds_around(
             series, reboot.time)
         if missing:
-            return GapEvent(pid, gap_start, gap_end, GapCause.POWER,
-                            changed, duration)
-    return GapEvent(pid, gap_start, gap_end, GapCause.NONE, changed, 0.0)
+            return GapCause.POWER, duration
+    return GapCause.NONE, 0.0
 
 
 def gap_events_col(col: ColumnarConnlog, kroot,
                    items: Sequence[tuple[int, list[Reboot]]]
-                   ) -> dict[int, list[GapEvent]]:
+                   ) -> ColumnarGapEventMap:
     """Columnar :func:`~repro.core.association.associate_probe_gaps` over
-    a batch.
+    a batch, as one gap-event table.
 
     ``items`` pairs each probe id with its firmware-filtered reboots,
-    exactly like the gap shard payloads.  The fast path proves NONE for
-    every gap whose corroboration window contains no all-lost tick and
-    no reboot; the remainder go through :func:`_classify_slow`.
+    exactly like the gap shard work items.  The fast path proves NONE
+    for every gap whose corroboration window contains no all-lost tick
+    and no reboot; the remainder go through :func:`_classify_slow`.
     """
-    out: dict[int, list[GapEvent]] = {}
-    for pid, reboots in items:
-        pid = int(pid)
-        series = kroot.series(pid)
-        lo, hi = col.slice_of(pid)
-        slo = _strip_offset(col, lo, hi)
-        count = hi - slo - 1
-        if count < 1:
-            out[pid] = []
+    pids = [int(pid) for pid, _ in items]
+    _, lo, hi = _bounds(col, pids)
+    # A probe's gaps sit between consecutive stripped rows.
+    gap_rows, gap_offsets = csr_expand(lo, hi - 1)
+    gap_starts = col.ends[gap_rows]
+    gap_ends = col.starts[gap_rows + 1]
+    changed = ((col.v6[gap_rows] == 0) & (col.v6[gap_rows + 1] == 0)
+               & (col.addrs[gap_rows] != col.addrs[gap_rows + 1]))
+    causes = np.full(len(gap_rows), _CAUSE[GapCause.NONE], dtype=np.uint8)
+    outage = np.zeros(len(gap_rows), dtype=np.float64)
+    for row, (pid, reboots) in enumerate(items):
+        first, last = int(gap_offsets[row]), int(gap_offsets[row + 1])
+        if first == last:
             continue
-        gap_starts = col.ends[slo:hi - 1]
-        gap_ends = col.starts[slo + 1:hi]
-        changed = ((col.v6[slo:hi - 1] == 0) & (col.v6[slo + 1:hi] == 0)
-                   & (col.addrs[slo:hi - 1] != col.addrs[slo + 1:hi]))
+        series = kroot.series(pid)
+        starts = gap_starts[first:last]
+        ends = gap_ends[first:last]
         index = KRootOutageIndex(series)
-        window_lo = np.maximum(gap_starts - WINDOW_MARGIN,
-                               series.observed_start)
-        window_hi = np.minimum(gap_ends + WINDOW_MARGIN,
-                               series.observed_end)
+        window_lo = np.maximum(starts - WINDOW_MARGIN, series.observed_start)
+        window_hi = np.minimum(ends + WINDOW_MARGIN, series.observed_end)
         lost_lo = np.searchsorted(index.times, window_lo, side="left")
         lost_hi = np.searchsorted(index.times, window_hi, side="left")
         ordered = sorted(reboots, key=lambda reboot: reboot.time)
         if ordered:
             reboot_times = np.asarray(
                 [reboot.time for reboot in ordered], dtype=np.float64)
-            rb_lo = np.searchsorted(reboot_times,
-                                    gap_starts - WINDOW_MARGIN, side="left")
-            rb_hi = np.searchsorted(reboot_times, gap_ends, side="right")
+            rb_lo = np.searchsorted(reboot_times, starts - WINDOW_MARGIN,
+                                    side="left")
+            rb_hi = np.searchsorted(reboot_times, ends, side="right")
         else:
-            rb_lo = rb_hi = np.zeros(count, dtype=np.int64)
-        quiet = ((lost_hi <= lost_lo) & (rb_hi <= rb_lo)).tolist()
-        gs_list = gap_starts.tolist()
-        ge_list = gap_ends.tolist()
-        changed_list = changed.tolist()
-        jlo = lost_lo.tolist()
-        jhi = lost_hi.tolist()
-        ilo = rb_lo.tolist()
-        ihi = rb_hi.tolist()
-        events: list[GapEvent] = []
-        for k in range(count):
-            if quiet[k]:
-                events.append(GapEvent(pid, gs_list[k], ge_list[k],
-                                       GapCause.NONE, changed_list[k], 0.0))
-            else:
-                events.append(_classify_slow(
-                    pid, gs_list[k], ge_list[k], changed_list[k], index,
-                    jlo[k], max(jlo[k], jhi[k]), series, ordered,
-                    ilo[k], max(ilo[k], ihi[k])))
-        out[pid] = events
-    return out
+            rb_lo = rb_hi = np.zeros(last - first, dtype=np.int64)
+        busy = np.nonzero((lost_hi > lost_lo) | (rb_hi > rb_lo))[0]
+        for k in busy.tolist():
+            jlo, ilo = int(lost_lo[k]), int(rb_lo[k])
+            cause, duration = _classify_slow(
+                float(starts[k]), float(ends[k]), index,
+                jlo, max(jlo, int(lost_hi[k])), series, ordered,
+                ilo, max(ilo, int(rb_hi[k])))
+            causes[first + k] = _CAUSE[cause]
+            outage[first + k] = duration
+    return ColumnarGapEventMap.build(
+        gap_offsets[1:] - gap_offsets[:-1], probe_ids=pids,
+        gap_start=gap_starts, gap_end=gap_ends, cause=causes,
+        address_changed=changed, outage_duration=outage)

@@ -52,13 +52,12 @@ class ProbeCategory(enum.Enum):
 class ProbeVerdict:
     """Classification outcome for one probe.
 
-    Verdicts are pickled twice over: inside shard payloads crossing the
-    worker boundary, and (entry-stripped) inside the cached
-    ``FilterReport`` artifact — so the field layout is a wire contract
-    (RPR010).
+    The record kernel (:meth:`ProbeFilter.classify`) fills ``entries``;
+    verdicts decoded from the filter table
+    (:meth:`~repro.core.colartifact.ColumnarFilterArtifact.to_report`)
+    leave it empty — the entries are ``connlog.entries(probe_id)`` with
+    the Section 3.3 testing entry stripped.
     """
-
-    __wire_contract__ = "probe-verdict"
 
     probe_id: int
     category: ProbeCategory
@@ -78,11 +77,10 @@ class ProbeVerdict:
 class FilterReport:
     """Aggregate filtering outcome, the reproduction of Table 2.
 
-    The slim (entry-stripped) form of this report is the cached filter
-    artifact, read back by later runs — a wire contract (RPR010).
+    The object form of the filter stage's table, built for drivers that
+    ask for verdicts; the stage itself emits
+    :class:`~repro.core.colartifact.ColumnarFilterArtifact`.
     """
-
-    __wire_contract__ = "filter-artifact"
 
     verdicts: dict[int, ProbeVerdict]
     total: int
@@ -115,33 +113,30 @@ class FilterReport:
 
     def table2_rows(self) -> list[tuple[str, int]]:
         """Rows in the paper's Table 2 ordering."""
-        return [
-            ("Total Probes", self.total),
-            ("Never changed", self.count(ProbeCategory.NEVER_CHANGED)),
-            ("Dual Stack", self.count(ProbeCategory.DUAL_STACK)),
-            ("IPv6", self.count(ProbeCategory.IPV6_ONLY)),
-            ("Multihomed / Core / Data-center (tags)",
-             self.count(ProbeCategory.TAGGED)),
-            ("Multihomed (alternating addresses)",
-             self.count(ProbeCategory.MULTIHOMED)),
-            ("Only address change from 193.0.0.78",
-             self.count(ProbeCategory.TESTING_ONLY)),
-            ("Analyzable (geography)", len(self.analyzable_geo())),
-            ("Multiple ASes", len(self.multi_as_probes())),
-            ("Analyzable (AS-level)", len(self.analyzable_as())),
-        ]
+        return table2_rows(self)
 
 
-def report_from_verdicts(verdicts: dict[int, ProbeVerdict]) -> FilterReport:
-    """Assemble the Table 2 report from per-probe verdicts.
+def table2_rows(report) -> list[tuple[str, int]]:
+    """Table 2 of anything with the report's queries, in paper order.
 
-    The total excludes short-lived probes, matching the paper's Table 2
-    denominator.  Split out from :meth:`ProbeFilter.run` so a sharded
-    executor can merge per-shard verdict maps into the identical report.
+    Shared by :class:`FilterReport` and the filter table, which answer
+    the same queries from objects and from columns.
     """
-    total = sum(1 for v in verdicts.values()
-                if v.category is not ProbeCategory.SHORT_LIVED)
-    return FilterReport(verdicts=verdicts, total=total)
+    return [
+        ("Total Probes", report.total),
+        ("Never changed", report.count(ProbeCategory.NEVER_CHANGED)),
+        ("Dual Stack", report.count(ProbeCategory.DUAL_STACK)),
+        ("IPv6", report.count(ProbeCategory.IPV6_ONLY)),
+        ("Multihomed / Core / Data-center (tags)",
+         report.count(ProbeCategory.TAGGED)),
+        ("Multihomed (alternating addresses)",
+         report.count(ProbeCategory.MULTIHOMED)),
+        ("Only address change from 193.0.0.78",
+         report.count(ProbeCategory.TESTING_ONLY)),
+        ("Analyzable (geography)", len(report.analyzable_geo())),
+        ("Multiple ASes", len(report.multi_as_probes())),
+        ("Analyzable (AS-level)", len(report.analyzable_as())),
+    ]
 
 
 def looks_multihomed(addresses: Sequence[IPv4Address],
@@ -175,7 +170,11 @@ class ProbeFilter:
         """Classify every probe in the log."""
         verdicts = {probe_id: self.classify(probe_id)
                     for probe_id in self._connlog.probe_ids()}
-        return report_from_verdicts(verdicts)
+        # The total excludes short-lived probes, matching the paper's
+        # Table 2 denominator.
+        total = sum(1 for v in verdicts.values()
+                    if v.category is not ProbeCategory.SHORT_LIVED)
+        return FilterReport(verdicts=verdicts, total=total)
 
     def classify(self, probe_id: int) -> ProbeVerdict:
         """Classify one probe; pure per-probe kernel, shard-safe."""

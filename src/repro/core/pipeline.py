@@ -16,12 +16,20 @@ chains the stages serially; :mod:`repro.runtime` wires the same
 functions into a stage graph, and both assemble their results through
 :meth:`AnalysisResults.from_artifacts`, so the two paths cannot drift
 apart.
+
+The per-probe stage outputs are :mod:`repro.core.colartifact` tables
+from the kernel to the digest (DESIGN.md §21).  :class:`AnalysisResults`
+holds those tables and builds each per-probe dict of objects only when
+a driver first asks for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
+
+import numpy as np
 
 from repro.atlas.archive import ProbeArchive
 from repro.atlas.columnar import ColumnarConnlog, ColumnarUptime
@@ -30,18 +38,25 @@ from repro.atlas.kroot import KRootDataset
 from repro.atlas.sosuptime import UptimeDataset
 from repro.atlas.types import ProbeVersion
 from repro.core import colkernels, geography
-from repro.core.association import GapEvent
+from repro.core.association import GapCause, GapEvent
 from repro.core.changes import AddressChange, AddressSpan
+from repro.core.colartifact import (
+    ColumnarChangeMap,
+    ColumnarFilterArtifact,
+    ColumnarFloatMap,
+    ColumnarGapEventMap,
+    ColumnarRebootMap,
+    ColumnarSpanMap,
+)
 from repro.core.conditional import (
     OutageRenumberingRow,
     ProbeOutageStats,
     conditional_cdf_network,
     conditional_cdf_power,
     outage_renumbering_table,
-    probe_outage_stats,
     stats_for_asn,
 )
-from repro.core.filtering import FilterReport, report_from_verdicts
+from repro.core.filtering import FilterReport
 from repro.core.hourofday import hour_histogram, periodic_change_hours
 from repro.core.outage_buckets import DurationBucket, bucket_outages
 from repro.core.periodicity import (
@@ -59,29 +74,35 @@ from repro.core.reboots import (
 from repro.core.timefraction import DEFAULT_BIN
 from repro.net.pfx2as import IpToAsDataset
 from repro.util import timeutil
-from repro.util.ordering import ordered, ordered_items
+from repro.util.ordering import ordered
 from repro.util.stats import CdfPoint
 
 
 @dataclass
 class AnalysisResults:
-    """All per-stage outputs plus table/figure builders."""
+    """All per-stage outputs plus table/figure builders.
 
-    filter_report: FilterReport
+    The fan-out stages' outputs are held as tables; the per-probe dicts
+    of objects (``spans_by_probe``, ``changes_by_probe``, ...) are built
+    from them on first access and kept.
+    """
+
+    #: Stage ``filter``: one row per classified probe.
+    filter_table: ColumnarFilterArtifact
     archive: ProbeArchive
     ip2as: IpToAsDataset
     as_names: dict[int, str]
     as_countries: dict[int, str]
     #: Spans per analyzable (geography) probe, testing entry removed.
-    spans_by_probe: dict[int, list[AddressSpan]]
-    #: Known durations per analyzable (geography) probe.
-    durations_by_probe: dict[int, list[float]]
+    span_table: ColumnarSpanMap
+    #: Known durations per analyzable (geography) probe that has any.
+    duration_table: ColumnarFloatMap
     #: All changes per single-AS (AS-level) probe.
-    changes_by_probe: dict[int, list[AddressChange]]
+    change_table: ColumnarChangeMap
     #: Home AS per single-AS probe.
     asn_by_probe: dict[int, int]
     #: Classified gaps per single-AS probe.
-    gap_events_by_probe: dict[int, list[GapEvent]]
+    gap_table: ColumnarGapEventMap
     #: Outage statistics per single-AS probe.
     stats_by_probe: dict[int, ProbeOutageStats]
     #: Unique probes rebooting per day of year (raw, Figure 6).
@@ -104,21 +125,44 @@ class AnalysisResults:
         their values.  The one constructor both execution tiers use.
         """
         return cls(
-            filter_report=artifacts["filter_report"],
+            filter_table=artifacts["filter_report"],
             archive=artifacts["archive"],
             ip2as=artifacts["ip2as"],
             as_names=dict(as_names),
             as_countries=dict(as_countries),
-            spans_by_probe=artifacts["spans_by_probe"],
-            durations_by_probe=artifacts["durations_by_probe"],
-            changes_by_probe=artifacts["changes_by_probe"],
+            span_table=artifacts["spans_by_probe"],
+            duration_table=artifacts["durations_by_probe"],
+            change_table=artifacts["changes_by_probe"],
             asn_by_probe=artifacts["asn_by_probe"],
-            gap_events_by_probe=artifacts["gap_events_by_probe"],
+            gap_table=artifacts["gap_events_by_probe"],
             stats_by_probe=artifacts["stats_by_probe"],
             reboot_day_counts=artifacts["reboot_day_counts"],
             firmware_days=artifacts["firmware_days"],
             _v3_probes=artifacts["v3_probes"],
         )
+
+    # -- per-probe objects, built on first access -----------------------------
+
+    @cached_property
+    def filter_report(self) -> FilterReport:
+        """The Table 2 verdicts as objects (no entry lists)."""
+        return self.filter_table.to_report()
+
+    @cached_property
+    def spans_by_probe(self) -> dict[int, list[AddressSpan]]:
+        return self.span_table.to_map()
+
+    @cached_property
+    def durations_by_probe(self) -> dict[int, list[float]]:
+        return self.duration_table.to_map()
+
+    @cached_property
+    def changes_by_probe(self) -> dict[int, list[AddressChange]]:
+        return self.change_table.to_map()
+
+    @cached_property
+    def gap_events_by_probe(self) -> dict[int, list[GapEvent]]:
+        return self.gap_table.to_map()
 
     # -- subsets -----------------------------------------------------------
 
@@ -142,7 +186,7 @@ class AnalysisResults:
 
     def table2_rows(self) -> list[tuple[str, int]]:
         """Table 2: probe filtering summary."""
-        return self.filter_report.table2_rows()
+        return self.filter_table.table2_rows()
 
     def table5_rows(self, min_probes: int = 5,
                     min_periodic: int = 3) -> list[PeriodicityRow]:
@@ -253,7 +297,6 @@ class AnalysisResults:
         only from v3 probes, per Section 5.4.
         """
         events: list[GapEvent] = []
-        from repro.core.association import GapCause
         for pid, gaps in self.gap_events_by_probe.items():
             if self.asn_by_probe.get(pid) != asn:
                 continue
@@ -273,53 +316,29 @@ class AnalysisResults:
 # across probes, which is what makes shard-parallel execution
 # (repro.runtime) bit-identical to the serial path.
 
-def stage_filter(col: ColumnarConnlog, connlog: ConnectionLog,
-                 archive: ProbeArchive, ip2as: IpToAsDataset,
-                 min_connected: float = 30 * timeutil.DAY) -> FilterReport:
+def stage_filter(col: ColumnarConnlog, archive: ProbeArchive,
+                 ip2as: IpToAsDataset,
+                 min_connected: float = 30 * timeutil.DAY
+                 ) -> ColumnarFilterArtifact:
     """Stage ``filter``: classify every probe (Table 2)."""
-    return report_from_verdicts(colkernels.classify_probes(
-        col, connlog, archive, ip2as, min_connected))
+    return colkernels.classify_probes(col, archive, ip2as, min_connected)
 
 
-def stage_spans(col: ColumnarConnlog, filter_report: FilterReport
-                ) -> tuple[dict[int, list[AddressSpan]],
-                           dict[int, list[float]]]:
-    """Stage ``spans``: address spans/durations per geography probe."""
-    return split_spans(colkernels.probe_spans_col(
-        col, filter_report.analyzable_geo()))
+def stage_spans(col: ColumnarConnlog, filter_table: ColumnarFilterArtifact
+                ) -> tuple[ColumnarSpanMap, ColumnarFloatMap]:
+    """Stage ``spans``: address spans/durations per geography probe
+    (probes without a known duration get no durations row)."""
+    spans = colkernels.probe_spans_col(col, filter_table.analyzable_geo())
+    return spans, spans.durations()
 
 
-def split_spans(payload: Mapping[int, tuple[list[AddressSpan], list[float]]]
-                ) -> tuple[dict[int, list[AddressSpan]],
-                           dict[int, list[float]]]:
-    """Per-probe ``(spans, durations)`` pairs as stage ``spans``' outputs.
-
-    Probes without a known duration get no ``durations_by_probe`` key.
-    """
-    spans_by_probe: dict[int, list[AddressSpan]] = {}
-    durations_by_probe: dict[int, list[float]] = {}
-    for probe_id, (spans, durations) in payload.items():
-        spans_by_probe[probe_id] = spans
-        if durations:
-            durations_by_probe[probe_id] = durations
-    return spans_by_probe, durations_by_probe
-
-
-def stage_changes(filter_report: FilterReport
-                  ) -> tuple[dict[int, list[AddressChange]], dict[int, int]]:
+def stage_changes(filter_table: ColumnarFilterArtifact
+                  ) -> tuple[ColumnarChangeMap, dict[int, int]]:
     """Stage ``changes``: changes and home AS per single-AS probe."""
-    changes_by_probe: dict[int, list[AddressChange]] = {}
-    asn_by_probe: dict[int, int] = {}
-    for probe_id in filter_report.analyzable_as():
-        verdict = filter_report.verdicts[probe_id]
-        if verdict.asn is None:
-            continue
-        changes_by_probe[probe_id] = verdict.changes
-        asn_by_probe[probe_id] = verdict.asn
-    return changes_by_probe, asn_by_probe
+    return filter_table.single_as_changes()
 
 
-def aggregate_reboots(raw_reboots: Mapping[int, list]
+def aggregate_reboots(raw: ColumnarRebootMap
                       ) -> tuple[dict[int, int], list[int], dict[int, list]]:
     """Aggregation half of stage ``reboots``.
 
@@ -327,6 +346,7 @@ def aggregate_reboots(raw_reboots: Mapping[int, list]
     campaigns are inferred from the all-probe day histogram) is what the
     sharded executor runs in the parent after merging shard results.
     """
+    raw_reboots = raw.to_map()
     day_counts = reboots_per_day(raw_reboots)
     firmware_days = detect_firmware_days(day_counts)
     campaign_times = [timeutil.YEAR_2015_START + (day - 1) * timeutil.DAY
@@ -341,7 +361,7 @@ def stage_reboots(colup: ColumnarUptime
     return aggregate_reboots(colkernels.detect_reboots_col(colup))
 
 
-def gap_items(filter_report: FilterReport, kroot: KRootDataset,
+def gap_items(filter_table: ColumnarFilterArtifact, kroot: KRootDataset,
               filtered_reboots: Mapping[int, list]
               ) -> list[tuple[int, list]]:
     """Stage ``gaps``' work items: ``(probe id, filtered reboots)`` for
@@ -349,30 +369,43 @@ def gap_items(filter_report: FilterReport, kroot: KRootDataset,
     # analyzable_as() is sorted already; the explicit barrier lets
     # RPR009 prove the output's key order without trusting that.
     return [(probe_id, filtered_reboots.get(probe_id, []))
-            for probe_id in ordered(filter_report.analyzable_as())
+            for probe_id in ordered(filter_table.analyzable_as())
             if kroot.has_probe(probe_id)]
 
 
 def stage_gaps(col: ColumnarConnlog, kroot: KRootDataset,
-               filter_report: FilterReport,
+               filter_table: ColumnarFilterArtifact,
                filtered_reboots: Mapping[int, list]
-               ) -> dict[int, list[GapEvent]]:
+               ) -> ColumnarGapEventMap:
     """Stage ``gaps``: associate connection gaps with observed outages."""
     return colkernels.gap_events_col(
-        col, kroot, gap_items(filter_report, kroot, filtered_reboots))
+        col, kroot, gap_items(filter_table, kroot, filtered_reboots))
 
 
-def stage_stats(gap_events_by_probe: Mapping[int, list[GapEvent]]
+def stage_stats(gap_table: ColumnarGapEventMap
                 ) -> dict[int, ProbeOutageStats]:
-    """Stage ``stats``: per-probe conditional outage statistics.
+    """Stage ``stats``: per-probe conditional outage statistics
+    (:func:`~repro.core.conditional.probe_outage_stats` of every row).
 
-    Iterates in sorted-key order rather than insertion order: the input
-    mapping is sorted however it was produced (serial loop or shard
-    merge), but this stage's output feeds the digest, so its order must
-    not *depend* on that (RPR009).
+    Keyed in sorted-id order rather than row order: the table is sorted
+    however it was produced (serial kernel or shard merge), but this
+    stage's output feeds the digest, so its order must not *depend* on
+    that (RPR009).
     """
-    return {probe_id: probe_outage_stats(probe_id, events)
-            for probe_id, events in ordered_items(gap_events_by_probe)}
+    rows = gap_table.item_rows()
+    causes = gap_table.columns["cause"]
+    changed = gap_table.columns["address_changed"] != 0
+    tallies = []
+    for cause in (GapCause.NETWORK, GapCause.POWER):
+        hit = causes == gap_table.cause_code(cause)
+        tallies.append(np.bincount(rows[hit], minlength=len(gap_table)))
+        tallies.append(np.bincount(rows[hit & changed],
+                                   minlength=len(gap_table)))
+    columns = [tally.tolist() for tally in tallies]
+    pids = gap_table.probe_ids.tolist()
+    return {pids[row]: ProbeOutageStats(pids[row],
+                                        *(column[row] for column in columns))
+            for row in ordered(range(len(pids)), key=pids.__getitem__)}
 
 
 def stage_v3(asn_by_probe: Mapping[int, int],
@@ -423,8 +456,7 @@ class AnalysisPipeline:
         out: dict[str, object] = {"archive": self._archive,
                                   "ip2as": self._ip2as}
         report = out["filter_report"] = stage_filter(
-            col, self._connlog, self._archive, self._ip2as,
-            self._min_connected)
+            col, self._archive, self._ip2as, self._min_connected)
         out["spans_by_probe"], out["durations_by_probe"] = stage_spans(
             col, report)
         out["changes_by_probe"], out["asn_by_probe"] = stage_changes(report)

@@ -16,7 +16,7 @@ so the cache handling, degraded-run rules, per-stage merge logic and
 result assembly stay the single implementation the serial and pool
 paths already share.  That inheritance is the bit-identity argument:
 the distributed run computes the same shards with the same kernels and
-merges them through the same ``ordered_merge`` calls, so its
+concatenates the same result tables in shard order, so its
 ``results_digest`` matches ``repro-run --jobs 1`` by construction, and
 the dist test suite pins it by measurement.
 

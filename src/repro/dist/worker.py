@@ -25,7 +25,6 @@ the worker only has to keep pulling.
 
 from __future__ import annotations
 
-import pickle
 import threading
 import time
 from dataclasses import dataclass, field
@@ -315,12 +314,9 @@ class DistWorker:
         if self.capture_obs:
             return workers.run_shard(lease.stage, items,
                                      lease.shard_index, lease.attempt)
-        # Obs-silent path (loopback threads): same kernel, manual seal,
-        # empty spans/metrics — draining here would steal the
+        # Obs-silent path (loopback threads): same kernel and seal, no
+        # span and empty spans/metrics — draining here would steal the
         # coordinator's process-global spans.
-        kernel = workers.SHARD_TASKS[lease.stage]
-        payload = kernel(items)
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        return workers.ShardResult(
-            shard_index=lease.shard_index, attempt=lease.attempt,
-            payload_pickle=blob, seal=fp.hash_bytes(blob))
+        table = workers.SHARD_TASKS[lease.stage](items)
+        return workers.ShardResult.sealed(table, lease.shard_index,
+                                          lease.attempt, capture_obs=False)

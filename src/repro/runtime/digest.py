@@ -21,6 +21,12 @@ The canonical grammar, by the first rule that matches a value's type:
 :func:`canonical` applies it through one writer per exact type, resolved
 on first sight and memoized; a dataclass's writer is compiled once from
 its field names instead of re-introspecting every instance.
+
+A per-probe result table the digest covers (the spans, durations,
+changes and gap-event tables of :mod:`repro.core.colartifact`) renders
+as exactly the text of the dict its ``to_map()`` builds: the digest is
+written straight from the columns, through row templates generated
+from the item dataclasses, without building one object.
 """
 
 from __future__ import annotations
@@ -29,7 +35,18 @@ import enum
 from dataclasses import fields, is_dataclass
 from typing import Callable, Iterable
 
+import numpy as np
+
+from repro.core.association import GapCause, GapEvent
+from repro.core.changes import AddressChange, AddressSpan
+from repro.core.colartifact import (
+    ColumnarChangeMap,
+    ColumnarFloatMap,
+    ColumnarGapEventMap,
+    ColumnarSpanMap,
+)
 from repro.core.pipeline import AnalysisResults
+from repro.net.ipv4 import IPv4Address
 from repro.util import fingerprint as fp
 
 Writer = Callable[[object], str]
@@ -109,15 +126,90 @@ _WRITERS: dict[type, Writer] = {}
 _writer = _WRITERS.get
 
 
+# -- result tables --------------------------------------------------------------
+
+def _template(cls: type, **formats: str) -> str:
+    """``Name(f1=%r,...)``: one dataclass instance's text as a ``%``
+    template over its fields, with per-field format overrides."""
+    return "%s(%s)" % (cls.__name__, ",".join(
+        "%s=%s" % (f.name, formats.get(f.name, "%r")) for f in fields(cls)))
+
+
+_ADDRESS = _template(IPv4Address)
+
+
+def _table_writer(template: str, columns: Callable[[object], list]
+                  ) -> Writer:
+    """The writer of one table type.
+
+    ``columns(table)`` lists the template's per-item values, one native
+    list per field (``tolist()`` values: ints, floats and bools render
+    through ``repr`` exactly like the objects' fields would); each
+    item's text is ``template % values``.  Rows render as the
+    ``{probe id: [items]}`` dict in sorted key order.
+    """
+    def write(table) -> str:
+        items = list(map(template.__mod__, zip(*columns(table))))
+        offsets = table.offsets.tolist()
+        pids = table.probe_ids.tolist()
+        return "{%s}" % ",".join([
+            "%r:[%s]" % (pids[row],
+                         ",".join(items[offsets[row]:offsets[row + 1]]))
+            for row in np.argsort(table.probe_ids, kind="stable").tolist()])
+    return write
+
+
+def _item_ids(table) -> list[int]:
+    return np.repeat(table.probe_ids, table.counts()).tolist()
+
+
+def _flags(column: np.ndarray) -> list[bool]:
+    return (column != 0).tolist()
+
+
+def _cause_texts(table) -> list[str]:
+    texts = [canonical(GapCause[name]) for name in table.meta["causes"]]
+    return [texts[code] for code in table.columns["cause"].tolist()]
+
+
+_WRITERS.update({
+    ColumnarSpanMap: _table_writer(
+        _template(AddressSpan, address=_ADDRESS),
+        lambda table: [_item_ids(table),
+                       table.columns["address"].tolist(),
+                       table.columns["start"].tolist(),
+                       table.columns["end"].tolist(),
+                       _flags(table.columns["complete_start"]),
+                       _flags(table.columns["complete_end"])]),
+    ColumnarFloatMap: _table_writer(
+        "%r", lambda table: [table.columns["values"].tolist()]),
+    ColumnarChangeMap: _table_writer(
+        _template(AddressChange, old_address=_ADDRESS,
+                  new_address=_ADDRESS),
+        lambda table: [_item_ids(table), table.columns["old"].tolist(),
+                       table.columns["new"].tolist(),
+                       table.columns["gap_start"].tolist(),
+                       table.columns["gap_end"].tolist()]),
+    ColumnarGapEventMap: _table_writer(
+        _template(GapEvent, cause="%s"),
+        lambda table: [_item_ids(table),
+                       table.columns["gap_start"].tolist(),
+                       table.columns["gap_end"].tolist(),
+                       _cause_texts(table),
+                       _flags(table.columns["address_changed"]),
+                       table.columns["outage_duration"].tolist()]),
+})
+
+
 def results_digest(results: AnalysisResults) -> str:
     """Hex fingerprint over every derived output of one analysis run."""
     payload = canonical({
         "table2": results.table2_rows(),
-        "spans": results.spans_by_probe,
-        "durations": results.durations_by_probe,
-        "changes": results.changes_by_probe,
+        "spans": results.span_table,
+        "durations": results.duration_table,
+        "changes": results.change_table,
         "asn": results.asn_by_probe,
-        "gaps": results.gap_events_by_probe,
+        "gaps": results.gap_table,
         "stats": results.stats_by_probe,
         "reboot_days": results.reboot_day_counts,
         "firmware_days": results.firmware_days,

@@ -10,10 +10,12 @@ them out over the worker pool of a
 :class:`~repro.runtime.supervisor.ShardSupervisor`.
 
 Equivalence guarantee: shards are contiguous chunks of the sorted probe
-ids, shard results are merged in shard order, and every kernel is a pure
-per-probe function, so the merged artifacts — and therefore every table
-and figure — are bit-identical to the serial pipeline's.  The test suite
-pins this with :func:`repro.runtime.digest.results_digest`.
+ids, every kernel is a pure per-probe function that emits one result
+table, and shard tables are concatenated in shard order, so the merged
+table *is* the serial kernel's table — and therefore every table and
+figure is bit-identical to the serial pipeline's.  The test suite pins
+this with :func:`repro.runtime.digest.results_digest`.  Merged tables
+are the stage outputs the cache stores as they are (DESIGN.md §21).
 """
 
 from __future__ import annotations
@@ -27,20 +29,17 @@ from pathlib import Path
 from typing import Mapping
 
 from repro import obs
-from repro.core import colartifact
 from repro.core.colartifact import (
     ColumnarFilterArtifact,
-    ColumnarFloatMap,
     ColumnarGapEventMap,
+    ColumnarRebootMap,
     ColumnarSpanMap,
 )
-from repro.core.filtering import report_from_verdicts
 from repro.core.pipeline import (
     AnalysisResults,
     aggregate_reboots,
     analysis_defaults,
     gap_items,
-    split_spans,
 )
 from repro.runtime import workers
 from repro.runtime.board import StageResilience, SupervisionPolicy
@@ -50,7 +49,6 @@ from repro.runtime.stages import DERIVED_SOURCES, StageSpec, topological_order
 from repro.runtime.supervisor import ShardSupervisor
 from repro.util import fingerprint as fp
 from repro.util import timeutil
-from repro.util.ordering import ordered_merge
 
 
 def resolve_start_method(requested: str | None = None) -> str:
@@ -239,16 +237,6 @@ class RunReport:
         return lines
 
 
-#: Stage outputs the cache stores in columnar form (DESIGN.md §16.4),
-#: by artifact name; :func:`colartifact.decode_value` revives them.
-COLUMNAR_FORMS = {
-    "filter_report": ColumnarFilterArtifact.from_report,
-    "spans_by_probe": ColumnarSpanMap.from_map,
-    "durations_by_probe": ColumnarFloatMap.from_map,
-    "gap_events_by_probe": ColumnarGapEventMap.from_map,
-}
-
-
 class _Artifacts(dict):
     """A run's artifacts by name; derived sources are built on first use."""
 
@@ -364,7 +352,7 @@ class ShardedRunner:
                                     params)
             hit, value = self.cache.load(key, stage=spec.name)
             if hit:
-                return self._revive(value), True, False
+                return value, True, False
         sharded = self.config.jobs > 1 and spec.fan_out
         if sharded:
             outputs = self._compute_sharded(spec, artifacts)
@@ -379,29 +367,8 @@ class ShardedRunner:
             # encode the degradation: storing either would silently
             # poison every later warm run.  One degraded stage therefore
             # stops artifact caching for the rest of the run.
-            self.cache.store(key, self._cacheable(outputs))
+            self.cache.store(key, outputs)
         return outputs, False, sharded
-
-    @staticmethod
-    def _cacheable(outputs: dict) -> dict:
-        """What actually goes to disk for one stage's outputs.
-
-        The fat object-graph artifacts (filter report, span/duration and
-        gap-event maps) are stored in their columnar forms: the cache
-        writes each to a memory-mappable ``.col`` sidecar instead of a
-        pickle graph.  The filter report's per-probe connlog entries are
-        dropped on the way — a pure intermediate several times larger
-        than every derived result combined, which no later stage reads.
-        """
-        return {name: COLUMNAR_FORMS[name](value)
-                if name in COLUMNAR_FORMS else value
-                for name, value in outputs.items()}
-
-    @staticmethod
-    def _revive(outputs: dict) -> dict:
-        """Decode columnar cache artifacts back into stage outputs."""
-        return {name: colartifact.decode_value(value)
-                for name, value in outputs.items()}
 
     def _ensure_supervisor(self) -> ShardSupervisor:
         """The run's fault-tolerant dispatcher, created on first fan-out."""
@@ -441,33 +408,31 @@ class ShardedRunner:
             self.config.jobs, len(probe_ids), self.config.shards))
 
     def _compute_sharded(self, spec: StageSpec, artifacts: dict) -> dict:
-        """Fan one per-probe stage out over shards; merge canonically.
+        """Fan one per-probe stage out over shards; concatenate the
+        shard tables in shard order.
 
-        Probe ids are sorted (dataset accessors return them sorted) and
-        shards are contiguous chunks, so :func:`ordered_merge`'s
-        sorted-key result is bit-identical to the old shard-order fold —
-        but no longer *relies* on those two invariants holding, and the
-        merge stays deterministic if shard boundaries ever change.
+        Probe ids are sorted (dataset accessors and the filter table's
+        queries return them sorted) and shards are contiguous chunks, so
+        the concatenation is the serial kernel's table, row for row.
         """
         if spec.name == "filter":
             shards = self._shards_of(self._connlog.probe_ids())
-            verdicts = ordered_merge(
-                *self._stage_payloads("filter", shards))
-            return {"filter_report": report_from_verdicts(verdicts)}
+            return {"filter_report": ColumnarFilterArtifact.concat(
+                self._stage_payloads("filter", shards))}
 
         if spec.name == "spans":
             shards = self._shards_of(
                 artifacts["filter_report"].analyzable_geo())
-            spans_by_probe, durations_by_probe = split_spans(ordered_merge(
-                *self._stage_payloads("spans", shards)))
-            return {"spans_by_probe": spans_by_probe,
-                    "durations_by_probe": durations_by_probe}
+            spans = ColumnarSpanMap.concat(
+                self._stage_payloads("spans", shards))
+            return {"spans_by_probe": spans,
+                    "durations_by_probe": spans.durations()}
 
         if spec.name == "reboots":
             shards = self._shards_of(self._uptime.probe_ids())
-            raw = ordered_merge(
-                *self._stage_payloads("reboots", shards))
-            day_counts, firmware_days, filtered = aggregate_reboots(raw)
+            day_counts, firmware_days, filtered = aggregate_reboots(
+                ColumnarRebootMap.concat(
+                    self._stage_payloads("reboots", shards)))
             return {"reboot_day_counts": day_counts,
                     "firmware_days": firmware_days,
                     "filtered_reboots": filtered}
@@ -476,12 +441,12 @@ class ShardedRunner:
             shards = self._shards_of(gap_items(
                 artifacts["filter_report"], self._kroot,
                 artifacts["filtered_reboots"]))
-            gap_events = ordered_merge(
-                *self._stage_payloads("gaps", shards,
-                                      probe_of=lambda item: item[0]))
-            return {"gap_events_by_probe": gap_events}
+            return {"gap_events_by_probe": ColumnarGapEventMap.concat(
+                self._stage_payloads("gaps", shards,
+                                     probe_of=lambda item: item[0]))}
 
         raise ValueError("stage %r is not fan-out capable" % (spec.name,))
+
 
 def world_fingerprint(config) -> str:
     """Content fingerprint of an inline-simulated world.

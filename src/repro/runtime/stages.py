@@ -70,7 +70,7 @@ class StageSpec:
 STAGES: tuple[StageSpec, ...] = (
     StageSpec(
         name="filter",
-        inputs=("colconn", "connlog", "archive", "ip2as", "min_connected"),
+        inputs=("colconn", "archive", "ip2as", "min_connected"),
         outputs=("filter_report",),
         fan_out=True,
         func=_pipeline.stage_filter,
@@ -88,9 +88,9 @@ STAGES: tuple[StageSpec, ...] = (
         outputs=("changes_by_probe", "asn_by_probe"),
         fan_out=False,
         func=_pipeline.stage_changes,
-        # Pure reshaping of verdicts the filter artifact already holds:
-        # storing it duplicated megabytes of AddressChange pickle that
-        # cost more to load than stage_changes costs to re-run.
+        # A projection of the filter table's change columns: storing it
+        # would duplicate them on disk for a stage that costs a few
+        # vectorized gathers to re-run.
         cacheable=False,
     ),
     StageSpec(

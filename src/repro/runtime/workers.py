@@ -8,13 +8,13 @@ runs, over its shard of probes, so each payload is exactly the slice of
 the serial result it stands for.
 
 Results cross the process boundary inside a *sealed* :class:`ShardResult`
-envelope: the payload is pickled worker-side and stamped with its content
-fingerprint, so the supervisor (or the dist coordinator) can detect a
-corrupted envelope before a bad payload reaches the merge, and
-retry the shard instead of poisoning the run.  Workers also register a
-heartbeat file on their first task — the supervisor uses the registry
-both as a liveness signal and as the pid list to ``SIGKILL`` when it must
-tear down a hung pool.
+envelope: the payload is the kernel's result table packed as ``colpack``
+bytes worker-side and stamped with its content fingerprint, so the
+supervisor (or the dist coordinator) can detect a corrupted envelope
+before a bad payload reaches the merge, and retry the shard instead of
+poisoning the run.  Workers also register a heartbeat file on their
+first task — the supervisor uses the registry both as a liveness signal
+and as the pid list to ``SIGKILL`` when it must tear down a hung pool.
 
 Everything here must stay importable at module top level (the pool
 pickles task functions by qualified name) and free of global randomness;
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import signal
 import threading
 import time
@@ -48,6 +47,7 @@ from repro.core import colkernels
 from repro.core.reboots import Reboot
 from repro.errors import EnvelopeCorruptError
 from repro.net.pfx2as import IpToAsDataset
+from repro.util import colpack
 from repro.util import fingerprint as fp
 from repro.util import timeutil
 
@@ -124,13 +124,15 @@ class ShardResult:
     this envelope; the executor absorbs them in shard order, which keeps
     the merged trace deterministic regardless of worker scheduling.
 
-    The payload is shipped as pickle bytes stamped with their SHA-256
-    ``seal``: :meth:`open_payload` re-hashes on the parent side and
-    raises :class:`~repro.errors.EnvelopeCorruptError` on mismatch, so a
-    corrupted envelope is detected *before* its payload reaches the
-    ordered merge.  ``shard_index``/``attempt`` identify the task for
-    supervision bookkeeping.  The payload itself stays exactly what the
-    pure kernels computed — instrumentation and sealing wrap the
+    ``payload`` is the kernel's result table as :func:`colpack.pack_object`
+    bytes, stamped with their SHA-256 ``seal``: :meth:`open_payload`
+    re-hashes on the parent side and raises
+    :class:`~repro.errors.EnvelopeCorruptError` on mismatch, so a
+    corrupted envelope is detected *before* its table reaches the merge.
+    The same bytes are what the dist socket carries and what a shard
+    checkpoint stores.  ``shard_index``/``attempt`` identify the task
+    for supervision bookkeeping.  The payload itself stays exactly what
+    the pure kernels computed — instrumentation and sealing wrap the
     kernels, they never reach inside them.
     """
 
@@ -138,27 +140,30 @@ class ShardResult:
 
     shard_index: int
     attempt: int
-    payload_pickle: bytes
+    payload: bytes
     seal: str
     spans: list = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
 
     @classmethod
-    def sealed(cls, payload: object, shard_index: int = 0,
-               attempt: int = 0) -> "ShardResult":
-        """Seal a payload with this task's spans and metrics."""
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    def sealed(cls, table: object, shard_index: int = 0, attempt: int = 0,
+               capture_obs: bool = True) -> "ShardResult":
+        """Pack and seal a result table, with this task's spans and
+        metrics unless ``capture_obs`` is off (a caller sharing the
+        process-global collectors must not drain them)."""
+        blob = colpack.pack_object(table)
         return cls(shard_index=shard_index, attempt=attempt,
-                   payload_pickle=blob, seal=fp.hash_bytes(blob),
-                   spans=obs.drain_spans(), metrics=obs.metrics().drain())
+                   payload=blob, seal=fp.hash_bytes(blob),
+                   spans=obs.drain_spans() if capture_obs else [],
+                   metrics=obs.metrics().drain() if capture_obs else {})
 
     def open_payload(self) -> object:
-        """Verify the seal and unpickle the payload."""
-        if fp.hash_bytes(self.payload_pickle) != self.seal:
+        """Verify the seal and unpack the result table."""
+        if fp.hash_bytes(self.payload) != self.seal:
             raise EnvelopeCorruptError(
                 "shard %d attempt %d: result envelope failed its "
                 "integrity seal" % (self.shard_index, self.attempt))
-        return pickle.loads(self.payload_pickle)
+        return colpack.unpack_object(self.payload)
 
 
 _context: WorkerContext | None = None
@@ -279,37 +284,35 @@ def _inject_envelope(envelope: ShardResult, stage: str, shard_index: int,
     corruption is detectable by construction, never silent.
     """
     plan = _context.fault_plan if _context is not None else None
-    if plan is None or not envelope.payload_pickle:
+    if plan is None or not envelope.payload:
         return envelope
     if plan.fault_at(stage, shard_index, attempt) != FAULT_ENVELOPE_CORRUPT:
         return envelope
-    blob = envelope.payload_pickle
-    envelope.payload_pickle = blob[:-1] + bytes([blob[-1] ^ 0xFF])
+    blob = envelope.payload
+    envelope.payload = blob[:-1] + bytes([blob[-1] ^ 0xFF])
     return envelope
 
 
 # -- shard kernels (payload = exactly what the serial path computes) ---------
 
-def _filter_payload(probe_ids: list[int]) -> dict:
+def _filter_payload(probe_ids: list[int]):
     context = _require_context()
-    # Slim verdicts (no entry lists) cross the process boundary: no
-    # stage downstream of the filter reads them.
     return colkernels.classify_probes(
-        _colconn, context.connlog, context.archive, context.ip2as,
-        context.min_connected, probe_ids, with_entries=False)
+        _colconn, context.archive, context.ip2as, context.min_connected,
+        probe_ids)
 
 
-def _spans_payload(probe_ids: list[int]) -> dict:
+def _spans_payload(probe_ids: list[int]):
     _require_context()
     return colkernels.probe_spans_col(_colconn, probe_ids)
 
 
-def _reboots_payload(probe_ids: list[int]) -> dict:
+def _reboots_payload(probe_ids: list[int]):
     _require_context()
     return colkernels.detect_reboots_col(_colup, probe_ids)
 
 
-def _gaps_payload(items: list[tuple[int, list[Reboot]]]) -> dict:
+def _gaps_payload(items: list[tuple[int, list[Reboot]]]):
     context = _require_context()
     return colkernels.gap_events_col(_colconn, context.kroot, items)
 

@@ -2,10 +2,11 @@
 
 Every hot stage of :mod:`repro.core.pipeline` (columnar kernels from
 :mod:`repro.core.colkernels`) is pinned bit-identical to its record-path
-twin in :mod:`tests.record_oracle` over a seeded simulated world — same
-verdicts in the same dict order, same spans, reboots and gap events.  A
-randomized property pins the flattened pfx2as stab table (what batched
-lookups ``searchsorted`` over) to the per-address lookup.
+twin in :mod:`tests.record_oracle` over a seeded simulated world — the
+kernel's table decodes to the same verdicts in the same dict order, the
+same spans, reboots and gap events.  A randomized property pins the
+flattened pfx2as stab table (what batched lookups ``searchsorted`` over)
+to the per-address lookup.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import pytest
 
 from repro.atlas.columnar import ColumnarConnlog, ColumnarUptime
 from repro.core import pipeline
+from repro.core.colkernels import detect_reboots_col
+from repro.core.reboots import detect_all_reboots
 from repro.experiments.scenarios import small_world
 from repro.net.ipv4 import IPv4Address, IPv4Prefix
 from repro.net.pfx2as import UNROUTED, AsMapping, Pfx2AsSnapshot
@@ -43,9 +46,16 @@ def legacy_report(world):
 
 
 @pytest.fixture(scope="module")
-def columnar_report(world, col):
-    return pipeline.stage_filter(col, world.connlog, world.archive,
-                                 world.ip2as, min_connected=MIN_CONNECTED)
+def columnar_table(world, col):
+    return pipeline.stage_filter(col, world.archive, world.ip2as,
+                                 min_connected=MIN_CONNECTED)
+
+
+@pytest.fixture(scope="module")
+def columnar_report(world, columnar_table):
+    """The kernel's verdicts, entry lists rebuilt from the log."""
+    return oracle.restore_entries(columnar_table.to_report(),
+                                  world.connlog)
 
 
 class TestFilterDifferential:
@@ -75,42 +85,53 @@ class TestFilterDifferential:
         assert "ANALYZABLE" in seen
         assert "NEVER_CHANGED" in seen
 
-    def test_slim_form_restores_entries_exactly(self, world, col,
+    def test_slim_form_restores_entries_exactly(self, world,
+                                                columnar_table,
                                                 legacy_report):
-        from repro.core.colkernels import classify_probes
-        from repro.core.filtering import report_from_verdicts
-        slim = report_from_verdicts(classify_probes(
-            col, world.connlog, world.archive, world.ip2as, MIN_CONNECTED,
-            with_entries=False))
+        slim = columnar_table.to_report()
+        assert all(not verdict.entries
+                   for verdict in slim.verdicts.values())
         oracle.restore_entries(slim, world.connlog)
         for pid, legacy in legacy_report.verdicts.items():
             assert slim.verdicts[pid].entries == legacy.entries, pid
 
+    def test_table_is_the_encoded_record_report(self, legacy_report,
+                                                columnar_table):
+        assert columnar_table == oracle.filter_table(legacy_report)
+        assert columnar_table.table2_rows() == legacy_report.table2_rows()
+
 
 class TestStageDifferentials:
     def test_spans_identical(self, world, col, legacy_report,
-                             columnar_report):
+                             columnar_table):
         legacy = oracle.stage_spans(legacy_report)
-        columnar = pipeline.stage_spans(col, columnar_report)
+        spans, durations = pipeline.stage_spans(col, columnar_table)
+        columnar = (spans.to_map(), durations.to_map())
         assert columnar == legacy
         assert [list(columnar[0]), list(columnar[1])] == \
                [list(legacy[0]), list(legacy[1])]
 
     def test_reboots_identical(self, world):
         legacy = oracle.stage_reboots(world.uptime)
-        columnar = pipeline.stage_reboots(
-            ColumnarUptime.from_uptime(world.uptime))
+        colup = ColumnarUptime.from_uptime(world.uptime)
+        columnar = pipeline.stage_reboots(colup)
         assert columnar == legacy
+        raw = detect_reboots_col(colup).to_map()
+        assert raw == detect_all_reboots(world.uptime)
+        assert list(raw) == list(detect_all_reboots(world.uptime))
 
     def test_gaps_identical(self, world, col, legacy_report,
-                            columnar_report):
+                            columnar_table):
         *_, legacy_filtered = oracle.stage_reboots(world.uptime)
         legacy = oracle.stage_gaps(legacy_report, world.kroot,
                                    legacy_filtered)
-        columnar = pipeline.stage_gaps(col, world.kroot, columnar_report,
-                                       legacy_filtered)
+        table = pipeline.stage_gaps(col, world.kroot, columnar_table,
+                                    legacy_filtered)
+        columnar = table.to_map()
         assert columnar == legacy
         assert list(columnar) == list(legacy)
+        assert pipeline.stage_stats(table) == oracle.stage_stats(legacy)
+        assert table == oracle.gap_table(legacy)
 
 
 class TestWindowEdgeChange:
@@ -141,8 +162,8 @@ class TestWindowEdgeChange:
         legacy = oracle.stage_filter(connlog, ProbeArchive(), ip2as,
                                      min_connected=timeutil.DAY)
         columnar = pipeline.stage_filter(
-            ColumnarConnlog.from_connlog(connlog), connlog, ProbeArchive(),
-            ip2as, min_connected=timeutil.DAY)
+            ColumnarConnlog.from_connlog(connlog), ProbeArchive(),
+            ip2as, min_connected=timeutil.DAY).to_report()
         verdict = legacy.verdicts[1]
         assert verdict.category.name == "ANALYZABLE"
         assert len(verdict.changes) == 1

@@ -10,7 +10,6 @@ distributed ``results_digest`` bit-identical), and the accounting obeys
 ``analyzed + quarantined == total``.
 """
 
-import pickle
 import sys
 import threading
 
@@ -29,7 +28,9 @@ from repro.runtime.board import (
     LeaseBoard,
     SupervisionPolicy,
 )
+from repro.core.colartifact import ColumnarFloatMap
 from repro.runtime.workers import ShardResult
+from repro.util import colpack
 from repro.util import fingerprint as fp
 
 pytestmark = pytest.mark.dist
@@ -44,17 +45,17 @@ class FakeClock:
 
 
 def payload_of(index):
-    return {index: index * index}
+    return ColumnarFloatMap.build([1], probe_ids=[index],
+                                  values=[index * index])
 
 
 def envelope(index, attempt=0, corrupt=False):
-    blob = pickle.dumps(payload_of(index),
-                        protocol=pickle.HIGHEST_PROTOCOL)
+    blob = colpack.pack_object(payload_of(index))
     seal = fp.hash_bytes(blob)
     if corrupt:
         blob = blob[:-1] + bytes([blob[-1] ^ 0xFF])
     return ShardResult(shard_index=index, attempt=attempt,
-                       payload_pickle=blob, seal=seal)
+                       payload=blob, seal=seal)
 
 
 def make_board(count=4, max_retries=2, deadline=100.0, backoff=0.0,

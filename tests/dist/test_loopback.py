@@ -5,12 +5,12 @@ Every test here drives the complete stage graph through real sockets
 ``results_digest`` to the ``jobs=1`` reference — the tentpole contract.
 """
 
-import pickle
 import threading
 import time
 
 import pytest
 
+from repro.core.colartifact import ColumnarFloatMap
 from repro.dist import protocol
 from repro.dist.coordinator import DistConfig, dist_runner_for_bundle
 from repro.dist.worker import DistWorker
@@ -18,6 +18,7 @@ from repro.errors import DistError
 from repro.runtime import workers
 from repro.runtime.cache import ArtifactCache, code_version
 from repro.runtime.stages import topological_order
+from repro.util import colpack
 from repro.util import fingerprint as fp
 
 pytestmark = [pytest.mark.dist, pytest.mark.slow]
@@ -159,14 +160,14 @@ def test_worker_cache_short_circuit_unit(tmp_path):
     a corrupt one falls through (and here surfaces the kernel error,
     since no worker context is installed)."""
     cache = ArtifactCache(tmp_path / "cache")
-    blob = pickle.dumps({1: "payload"},
-                        protocol=pickle.HIGHEST_PROTOCOL)
+    table = ColumnarFloatMap.build([1], probe_ids=[1], values=[0.25])
+    blob = colpack.pack_object(table)
     good = workers.ShardResult(shard_index=2, attempt=0,
-                               payload_pickle=blob,
+                               payload=blob,
                                seal=fp.hash_bytes(blob))
     cache.store("good-key", good)
     corrupt = workers.ShardResult(shard_index=2, attempt=0,
-                                  payload_pickle=blob + b"x",
+                                  payload=blob + b"x",
                                   seal=fp.hash_bytes(blob))
     cache.store("bad-key", corrupt)
     worker = DistWorker(host="", port=0, worker_id="w0", cache=cache)
@@ -174,7 +175,7 @@ def test_worker_cache_short_circuit_unit(tmp_path):
                            attempt=0, items=(1,), cache_key="good-key")
     result = worker._compute(lease)
     assert result.cache_hit
-    assert result.envelope.open_payload() == {1: "payload"}
+    assert result.envelope.open_payload() == table
     bad_lease = protocol.Lease(lease_id=2, stage="filter", shard_index=2,
                                attempt=0, items=(1,),
                                cache_key="bad-key")

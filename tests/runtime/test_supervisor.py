@@ -12,13 +12,13 @@ completed shard checkpoint and matches the uninterrupted digest.
 from __future__ import annotations
 
 import os
-import pickle
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.colartifact import ColumnarFloatMap
 from repro.faults.injectors import FaultKind
 from repro.faults.process import ProcessFaultPlan, reconcile
 from repro.runtime import (
@@ -29,6 +29,7 @@ from repro.runtime import (
 from repro.runtime.board import LeaseBoard, SupervisionPolicy
 from repro.runtime.supervisor import partition_digest
 from repro.runtime.workers import ShardResult
+from repro.util import colpack
 
 pytestmark = pytest.mark.runtime
 
@@ -345,10 +346,10 @@ def test_pool_process_table_assumption():
 # -- merge-order property ----------------------------------------------------
 
 def _corrupted(envelope: ShardResult) -> ShardResult:
-    blob = envelope.payload_pickle
+    blob = envelope.payload
     return ShardResult(
         shard_index=envelope.shard_index, attempt=envelope.attempt + 1,
-        payload_pickle=blob[:-1] + bytes([blob[-1] ^ 0xFF]),
+        payload=blob[:-1] + bytes([blob[-1] ^ 0xFF]),
         seal=envelope.seal)
 
 
@@ -358,7 +359,8 @@ def _corrupted(envelope: ShardResult) -> ShardResult:
 def test_retry_order_never_perturbs_the_ordered_merge(data, shard_count):
     """Whatever order envelopes resolve in — including corrupt attempts
     interleaved from retries — the per-index payloads are identical."""
-    good = [ShardResult.sealed({index: "payload-%d" % index},
+    good = [ShardResult.sealed(ColumnarFloatMap.build(
+                [index], probe_ids=[index], values=[0.5] * index),
                                shard_index=index)
             for index in range(shard_count)]
     corrupt = [
@@ -379,4 +381,4 @@ def test_retry_order_never_perturbs_the_ordered_merge(data, shard_count):
     assert board.done
     payloads = board.finish(lambda item: item).payloads
     assert payloads == [
-        pickle.loads(envelope.payload_pickle) for envelope in good]
+        colpack.unpack_object(envelope.payload) for envelope in good]

@@ -3,11 +3,13 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.core.changes import strip_testing_entry
 from repro.core.pipeline import pipeline_for_world
 from repro.isp.pool import PoolPolicy
 from repro.isp.profiles import IspProfile
 from repro.isp.spec import AccessTechnology, IspSpec
 from repro.net.bgpgen import AddressSpacePlan
+from repro.net.ipv4 import TESTING_ADDRESS
 from repro.sim.outages import Interruption, InterruptionKind, inject_event
 from repro.sim.scenario import ScenarioConfig
 from repro.sim.world import build_world
@@ -76,7 +78,8 @@ class TestWorldIntegration:
         results = pipeline_for_world(world).run()
         reserve = None
         for probe_id in results.asn_by_probe:
-            entries = results.filter_report.verdicts[probe_id].entries
+            entries, _ = strip_testing_entry(
+                world.connlog.entries(probe_id), TESTING_ADDRESS)
             first, last = entries[0], entries[-1]
             first_prefix = world.ip2as.bgp_prefix(first.address, first.start)
             last_prefix = world.ip2as.bgp_prefix(last.address, last.start)
